@@ -14,49 +14,39 @@ let double (c : Vec3.t) ~dual =
   Vec3.make ((2 * c.x) + off) ((2 * c.y) + off) ((2 * c.z) + off)
 
 (* Emit a cell set as strands of one structure: one 2-vertex strand per
-   adjacent pair, plus single-vertex strands for isolated cells. *)
-let emit_cells ~next_id ~structure ~dtype g cells =
+   adjacent pair, plus single-vertex strands for isolated cells.  Strands
+   are prepended to [acc] (newest first); the caller reverses once. *)
+let emit_cells ~next_id ~structure ~dtype acc cells =
   let in_set = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace in_set c ()) cells;
   let covered = Hashtbl.create 64 in
   let dual = dtype = Defect.Dual in
-  let g = ref g in
+  let acc = ref acc in
+  let strand path =
+    let id = !next_id in
+    incr next_id;
+    acc := Defect.make ~id ~structure ~dtype ~closed:false path :: !acc
+  in
   List.iter
-    (fun c ->
+    (fun (c : Vec3.t) ->
       (* canonical edges: only towards the positive axis directions *)
-      let pos_neighbors (p : Vec3.t) =
-        [
-          { p with Vec3.x = p.Vec3.x + 1 };
-          { p with Vec3.y = p.Vec3.y + 1 };
-          { p with Vec3.z = p.Vec3.z + 1 };
-        ]
-      in
       List.iter
         (fun n ->
           if Hashtbl.mem in_set n then begin
             Hashtbl.replace covered c ();
             Hashtbl.replace covered n ();
-            let id = !next_id in
-            incr next_id;
-            g :=
-              Geometry.add_defect !g
-                (Defect.make ~id ~structure ~dtype ~closed:false
-                   [ double ~dual c; double ~dual n ])
+            strand [ double ~dual c; double ~dual n ]
           end)
-        (pos_neighbors c))
+        [
+          { c with Vec3.x = c.Vec3.x + 1 };
+          { c with Vec3.y = c.Vec3.y + 1 };
+          { c with Vec3.z = c.Vec3.z + 1 };
+        ])
     cells;
   List.iter
-    (fun c ->
-      if not (Hashtbl.mem covered c) then begin
-        let id = !next_id in
-        incr next_id;
-        g :=
-          Geometry.add_defect !g
-            (Defect.make ~id ~structure ~dtype ~closed:false
-               [ double ~dual c ])
-      end)
+    (fun c -> if not (Hashtbl.mem covered c) then strand [ double ~dual c ])
     cells;
-  !g
+  !acc
 
 (* Primal structures: union the modules of every chain (through its
    points' members) — these are physically bridged; everything else is
@@ -104,15 +94,16 @@ let primal_structures (graph : Pd_graph.t) (flipping : Flipping.t)
 
 let geometry ~name ~(graph : Pd_graph.t) ~(flipping : Flipping.t)
     ~(placement : Placer.t) ~(routing : Pathfinder.result) =
-  let g = ref (Geometry.empty name) in
+  let defects = ref [] in
   let next_id = ref 0 in
   let structure = ref 0 in
   (* primal strands *)
   List.iter
     (fun modules ->
       let cells = List.map (Placer.module_cell placement) modules in
-      g :=
-        emit_cells ~next_id ~structure:!structure ~dtype:Defect.Primal !g cells;
+      defects :=
+        emit_cells ~next_id ~structure:!structure ~dtype:Defect.Primal
+          !defects cells;
       incr structure)
     (primal_structures graph flipping placement);
   (* dual strands: routed trees, with multiply-used pin cells kept only
@@ -130,10 +121,13 @@ let geometry ~name ~(graph : Pd_graph.t) ~(flipping : Flipping.t)
                 true)
           routed.Pathfinder.r_cells
       in
-      g := emit_cells ~next_id ~structure:!structure ~dtype:Defect.Dual !g cells;
+      defects :=
+        emit_cells ~next_id ~structure:!structure ~dtype:Defect.Dual !defects
+          cells;
       incr structure)
     routing.Pathfinder.routes;
   (* distillation boxes *)
+  let boxes = ref [] in
   Array.iteri
     (fun i nd ->
       match nd.Super_module.nd_kind with
@@ -147,14 +141,14 @@ let geometry ~name ~(graph : Pd_graph.t) ~(flipping : Flipping.t)
           let w, h =
             if placement.Placer.rotated.(i) then (bh, bw) else (bw, bh)
           in
-          g :=
-            Geometry.add_box !g
-              {
-                Geometry.b_kind = box;
-                b_box =
-                  Box3.make (Vec3.make x y 0)
-                    (Vec3.make (x + w - 1) (y + h - 1) (bd - 1));
-              }
+          boxes :=
+            {
+              Geometry.b_kind = box;
+              b_box =
+                Box3.make (Vec3.make x y 0)
+                  (Vec3.make (x + w - 1) (y + h - 1) (bd - 1));
+            }
+            :: !boxes
       | _ -> ())
     placement.Placer.sm.Super_module.nodes;
-  !g
+  Geometry.make ~name ~defects:(List.rev !defects) ~boxes:(List.rev !boxes)

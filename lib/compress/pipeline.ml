@@ -427,9 +427,14 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
   r
 
 and verify ?stages (r : t) =
+  (* emission is the costliest artifact; only the geometry stage reads it *)
   let geometry =
-    Emit_core.geometry ~name:r.icm.Icm.name ~graph:r.graph
-      ~flipping:r.flipping ~placement:r.placement ~routing:r.routing
+    let stages = Tqec_verify.Check.selected ?stages () in
+    if List.mem Tqec_verify.Violation.Geometry stages then
+      Some
+        (Emit_core.geometry ~name:r.icm.Icm.name ~graph:r.graph
+           ~flipping:r.flipping ~placement:r.placement ~routing:r.routing)
+    else None
   in
   Tqec_verify.Check.run ?stages
     {
@@ -442,7 +447,7 @@ and verify ?stages (r : t) =
       a_placement = r.placement;
       a_routing = r.routing;
       a_volume = r.volume;
-      a_geometry = Some geometry;
+      a_geometry = geometry;
     }
 
 let run ?(config = default_config) ?on_stage circuit =

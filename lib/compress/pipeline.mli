@@ -153,7 +153,8 @@ val fingerprint : t -> string
 
 (** [verify ?stages r] re-derives and cross-checks the invariants of
     every pipeline boundary (default: all stages) via {!Tqec_verify};
-    see {!Tqec_verify.Check.run}. *)
+    see {!Tqec_verify.Check.run}.  The geometry is emitted only when the
+    geometry stage is among those checked. *)
 val verify :
   ?stages:Tqec_verify.Violation.stage list -> t -> Tqec_verify.Violation.report
 

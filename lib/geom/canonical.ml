@@ -64,30 +64,27 @@ let ring ~id ~structure ~x ya yb =
 let build (icm : Icm.t) =
   let info = layout icm in
   let xmax = max 2 ((6 * info.n_cnots) - 2) in
-  let g = ref (Geometry.empty icm.name) in
+  let defects = ref [] in
   (* Primal rail loops, one per used row. *)
-  Array.iteri
-    (fun line row ->
-      ignore line;
+  Array.iter
+    (fun row ->
       if row >= 0 then
-        let loop =
+        defects :=
           Defect.rectangle ~id:row ~structure:row ~dtype:Defect.Primal
             ~plane:`Xz ~at:(2 * row) (0, 0) (xmax, 2)
-        in
-        g := Geometry.add_defect !g loop)
+          :: !defects)
     info.row_of_line;
   (* Dual rings. *)
   Array.iteri
     (fun k ({ control; target } : Icm.cnot) ->
       let rc = info.row_of_line.(control) and rt = info.row_of_line.(target) in
       assert (rc >= 0 && rt >= 0 && rc <> rt);
-      let d =
+      defects :=
         ring ~id:(info.n_rows + k) ~structure:(info.n_rows + k)
           ~x:info.ring_x.(k) (2 * rc) (2 * rt)
-      in
-      g := Geometry.add_defect !g d)
+        :: !defects)
     icm.cnots;
-  (!g, info)
+  (Geometry.make ~name:icm.name ~defects:(List.rev !defects) ~boxes:[], info)
 
 let hole info row =
   if row < 0 || row >= info.n_rows then invalid_arg "Canonical.hole: bad row";

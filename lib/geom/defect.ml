@@ -88,21 +88,23 @@ let loop_of_corners ~id ~structure ~dtype corners =
   match corners with
   | [] | [ _ ] | [ _; _ ] -> invalid_arg "Defect.loop_of_corners: too few corners"
   | first :: _ ->
-      let rec walk acc = function
+      (* [rev_path] holds the path so far, newest vertex first *)
+      let rec walk rev_path = function
         | a :: (b :: _ as rest) ->
             let run = axis_run a b in
-            let run = match acc with [] -> run | _ -> List.tl run in
-            walk (acc @ run) rest
+            let run = match rev_path with [] -> run | _ -> List.tl run in
+            walk (List.rev_append run rev_path) rest
         | [ last ] ->
-            let run = axis_run last first in
-            (* drop both endpoints: last is in acc, first closes the loop *)
+            (* drop both endpoints of the closing run: last is already on
+               the path, first closes the loop *)
             let middle =
-              match run with
+              match axis_run last first with
               | [] | [ _ ] -> []
-              | _ :: rest -> List.filteri (fun i _ -> i < List.length rest - 1) rest
+              | _ :: rest -> (
+                  match List.rev rest with [] -> [] | _ :: rev_mid -> rev_mid)
             in
-            acc @ middle
-        | [] -> acc
+            List.rev_append rev_path (List.rev middle)
+        | [] -> List.rev rev_path
       in
       let path = walk [] corners in
       (* reject self-overlapping loops *)

@@ -11,9 +11,8 @@ type t = {
   boxes : distill_box list;
 }
 
-let empty name = { name; defects = []; boxes = [] }
-let add_defect g d = { g with defects = g.defects @ [ d ] }
-let add_box g b = { g with boxes = g.boxes @ [ b ] }
+let make ~name ~defects ~boxes = { name; defects; boxes }
+let empty name = make ~name ~defects:[] ~boxes:[]
 
 let y_box_dims = (3, 3, 2)
 let a_box_dims = (16, 6, 2)

@@ -19,11 +19,14 @@ type t = {
   boxes : distill_box list;
 }
 
+(** [make ~name ~defects ~boxes] is the description with exactly these
+    strands and boxes, in the given order.  Emitters collect both lists
+    first and build the record once. *)
+val make :
+  name:string -> defects:Defect.t list -> boxes:distill_box list -> t
+
+(** [empty name] has no strands and no boxes. *)
 val empty : string -> t
-
-val add_defect : t -> Defect.t -> t
-
-val add_box : t -> distill_box -> t
 
 (** [y_box_dims] = (3,3,2); [a_box_dims] = (16,6,2); volumes 18 / 192. *)
 val y_box_dims : int * int * int

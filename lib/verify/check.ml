@@ -23,12 +23,13 @@ type artifacts = {
   a_geometry : Geometry.t option;
 }
 
+let selected ?stages () =
+  match stages with
+  | None | Some [] -> V.all_stages
+  | Some ss -> List.filter (fun st -> List.mem st ss) V.all_stages
+
 let run ?stages (a : artifacts) =
-  let checked =
-    match stages with
-    | None | Some [] -> V.all_stages
-    | Some ss -> List.filter (fun st -> List.mem st ss) V.all_stages
-  in
+  let checked = selected ?stages () in
   let want st = List.mem st checked in
   let vs = ref [] in
   let collect l = vs := !vs @ l in

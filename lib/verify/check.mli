@@ -21,6 +21,11 @@ type artifacts = {
       (** emitted geometry; [None] skips the geometry stage *)
 }
 
+(** [selected ?stages ()] is the stages [run ?stages] checks, in
+    pipeline order: all of them when [stages] is absent or empty.
+    Callers use it to skip building artifacts no selected stage reads. *)
+val selected : ?stages:Violation.stage list -> unit -> Violation.stage list
+
 (** [run ?stages a] verifies the listed stages (default: all) in pipeline
     order and returns the report. *)
 val run : ?stages:Violation.stage list -> artifacts -> Violation.report

@@ -195,6 +195,21 @@ let structure_cells strands =
 
 let cell_str (c : Vec3.t) = Printf.sprintf "(%d, %d, %d)" c.x c.y c.z
 
+(* [diff_sorted expected actual] on two ascending, duplicate-free lists
+   is [(missing, extra)]: the cells only in [expected] and the cells
+   only in [actual], each ascending.  One merge pass. *)
+let diff_sorted expected actual =
+  let rec go missing extra = function
+    | [], rest -> (List.rev missing, List.rev_append extra rest)
+    | rest, [] -> (List.rev_append missing rest, List.rev extra)
+    | (e :: es as el), (a :: as_ as al) ->
+        let c = compare e a in
+        if c = 0 then go missing extra (es, as_)
+        else if c < 0 then go (e :: missing) extra (es, al)
+        else go missing (a :: extra) (el, as_)
+  in
+  go [] [] (expected, actual)
+
 let geometry_check (g : Pd.t) (placement : Placer.t)
     (routing : Pathfinder.result) (geom : Geometry.t) =
   let vs = ref [] in
@@ -218,17 +233,12 @@ let geometry_check (g : Pd.t) (placement : Placer.t)
       sm.Super_module.node_of_module;
     sorted_cells !cells
   in
+  let primal_structures = Geometry.structures geom Defect.Primal in
   let actual_primal =
-    structure_cells
-      (List.concat_map snd (Geometry.structures geom Defect.Primal))
+    structure_cells (List.concat_map snd primal_structures)
   in
   if expected_primal <> actual_primal then begin
-    let missing =
-      List.filter (fun c -> not (List.mem c actual_primal)) expected_primal
-    in
-    let extra =
-      List.filter (fun c -> not (List.mem c expected_primal)) actual_primal
-    in
+    let missing, extra = diff_sorted expected_primal actual_primal in
     List.iter add
       (V.capped V.Geometry ~code:"primal-cells"
          (List.map
@@ -246,9 +256,12 @@ let geometry_check (g : Pd.t) (placement : Placer.t)
      ids follow the primal ones in route order; a cell visited by several
      routes (a shared pin) is emitted for the first visitor only, so the
      comparison replays that ownership rule. *)
-  let first_dual = List.length (Geometry.structures geom Defect.Primal) in
+  let first_dual = List.length primal_structures in
   let n_routes = List.length routing.Pathfinder.routes in
   let dual_structures = Geometry.structures geom Defect.Dual in
+  let dual_by_id = Hashtbl.create 256 in
+  List.iter (fun (sid, strands) -> Hashtbl.replace dual_by_id sid strands)
+    dual_structures;
   let owner = Hashtbl.create 256 in
   List.iteri
     (fun i (routed : Pathfinder.routed) ->
@@ -265,7 +278,7 @@ let geometry_check (g : Pd.t) (placement : Placer.t)
       in
       let sid = first_dual + i in
       let actual =
-        match List.assoc_opt sid dual_structures with
+        match Hashtbl.find_opt dual_by_id sid with
         | Some strands -> structure_cells strands
         | None -> []
       in

@@ -61,6 +61,21 @@ let test_defect_rectangle () =
   check Alcotest.bool "valid" true
     (Defect.valid_path ~dtype:Defect.Primal ~closed:true (Defect.vertices r))
 
+let test_loop_of_corners_order () =
+  (* a closing run with several interior vertices: they follow the last
+     corner in walking order, and neither end is repeated *)
+  let l =
+    Defect.loop_of_corners ~id:0 ~structure:0 ~dtype:Defect.Dual
+      [ vec 1 1 1; vec 7 1 1; vec 7 7 1; vec 1 7 1 ]
+  in
+  let xy = List.map (fun (v : Vec3.t) -> (v.x, v.y)) (Defect.vertices l) in
+  check
+    Alcotest.(list (pair int int))
+    "vertex order"
+    [ (1, 1); (3, 1); (5, 1); (7, 1); (7, 3); (7, 5); (7, 7); (5, 7); (3, 7);
+      (1, 7); (1, 5); (1, 3) ]
+    xy
+
 let test_cell_of_vertex () =
   check Alcotest.bool "even" true
     (Vec3.equal (Defect.cell_of_vertex (vec 4 6 0)) (vec 2 3 0));
@@ -80,7 +95,7 @@ let two_structures_overlapping () =
   let b = Defect.straight ~id:1 ~structure:1 ~dtype:Defect.Primal
       (vec 4 0 0) (vec 8 0 0)
   in
-  Geometry.add_defect (Geometry.add_defect (Geometry.empty "o") a) b
+  Geometry.make ~name:"o" ~defects:[ a; b ] ~boxes:[]
 
 let test_geometry_overlap_detected () =
   let g = two_structures_overlapping () in
@@ -97,7 +112,7 @@ let test_geometry_same_structure_can_touch () =
   let b = Defect.straight ~id:1 ~structure:0 ~dtype:Defect.Primal
       (vec 4 0 0) (vec 4 4 0)
   in
-  let g = Geometry.add_defect (Geometry.add_defect (Geometry.empty "s") a) b in
+  let g = Geometry.make ~name:"s" ~defects:[ a; b ] ~boxes:[] in
   check Alcotest.bool "valid" true (Geometry.is_valid g)
 
 let test_geometry_primal_dual_independent () =
@@ -109,27 +124,27 @@ let test_geometry_primal_dual_independent () =
   let d = Defect.straight ~id:1 ~structure:1 ~dtype:Defect.Dual
       (vec 1 1 1) (vec 5 1 1)
   in
-  let g = Geometry.add_defect (Geometry.add_defect (Geometry.empty "pd") p) d in
+  let g = Geometry.make ~name:"pd" ~defects:[ p; d ] ~boxes:[] in
   check Alcotest.bool "valid" true (Geometry.is_valid g)
 
 let test_geometry_volume () =
   let p = Defect.straight ~id:0 ~structure:0 ~dtype:Defect.Primal
       (vec 0 0 0) (vec 6 0 0)
   in
-  let g = Geometry.add_defect (Geometry.empty "v") p in
+  let g = Geometry.make ~name:"v" ~defects:[ p ] ~boxes:[] in
   check Alcotest.int "volume 4x1x1" 4 (Geometry.volume g);
   check Alcotest.int "empty volume" 0 (Geometry.volume (Geometry.empty "e"))
 
 let test_geometry_boxes () =
   check Alcotest.int "Y volume" 18 (Geometry.box_volume Geometry.Y_box);
   check Alcotest.int "A volume" 192 (Geometry.box_volume Geometry.A_box);
-  let g =
-    Geometry.add_box (Geometry.empty "b") (Geometry.box_at Geometry.Y_box (vec 0 0 0))
-  in
+  let y0 = Geometry.box_at Geometry.Y_box (vec 0 0 0) in
+  let g = Geometry.make ~name:"b" ~defects:[] ~boxes:[ y0 ] in
   check Alcotest.int "bbox = 18" 18 (Geometry.volume g);
   check Alcotest.int "total box volume" 18 (Geometry.total_box_volume g);
   let g2 =
-    Geometry.add_box g (Geometry.box_at Geometry.Y_box (vec 1 1 0))
+    Geometry.make ~name:"b" ~defects:[]
+      ~boxes:[ y0; Geometry.box_at Geometry.Y_box (vec 1 1 0) ]
   in
   check Alcotest.bool "box overlap detected" true
     (List.exists
@@ -316,6 +331,8 @@ let suites =
         Alcotest.test_case "closed" `Quick test_defect_closed;
         Alcotest.test_case "straight" `Quick test_defect_straight;
         Alcotest.test_case "rectangle" `Quick test_defect_rectangle;
+        Alcotest.test_case "loop of corners order" `Quick
+          test_loop_of_corners_order;
         Alcotest.test_case "cell mapping" `Quick test_cell_of_vertex;
       ] );
     ( "geom.geometry",

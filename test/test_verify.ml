@@ -70,6 +70,12 @@ let test_stage_scoping () =
   check Alcotest.bool "only the requested stages ran" true
     (report.V.checked = [ V.Icm; V.Placement ])
 
+let test_routing_only_skips_emission () =
+  let report = Pipeline.verify ~stages:[ V.Routing ] (run_three ()) in
+  check Alcotest.bool "routing-only report clean" true (V.ok report);
+  check Alcotest.bool "only routing checked" true
+    (report.V.checked = [ V.Routing ])
+
 let test_check_alias () =
   check Alcotest.(list string) "deprecated alias empty on sound runs" []
     (Pipeline.check (run_three ()))
@@ -205,6 +211,34 @@ let test_mutation_volume_misreport () =
   assert_rejected ~stage:V.Routing ~code:"volume"
     (Pipeline.verify ~stages:[ V.Routing ] r)
 
+(* Verify only the geometry stage of [r] against a substitute emission. *)
+let check_geometry (r : Pipeline.t) geom =
+  Tqec_verify.Check.run ~stages:[ V.Geometry ]
+    {
+      Tqec_verify.Check.a_icm = r.Pipeline.icm;
+      a_graph = r.Pipeline.graph;
+      a_merges = r.Pipeline.merges;
+      a_flipping = r.Pipeline.flipping;
+      a_dual = r.Pipeline.dual;
+      a_fvalue = r.Pipeline.fvalue;
+      a_placement = r.Pipeline.placement;
+      a_routing = r.Pipeline.routing;
+      a_volume = r.Pipeline.volume;
+      a_geometry = Some geom;
+    }
+
+(* Strands of one loop overlap at corner cells; a strand that covers at
+   least one cell no other strand does visibly shrinks its structure's
+   cell set when it is dropped or moved. *)
+let covers_uniquely defects (d : Tqec_geom.Defect.t) =
+  let others =
+    List.concat_map
+      (fun (o : Tqec_geom.Defect.t) ->
+        if o == d then [] else Tqec_geom.Defect.cells o)
+      defects
+  in
+  List.exists (fun c -> not (List.mem c others)) (Tqec_geom.Defect.cells d)
+
 (* Geometry: drop an emitted strand; the diagram no longer matches the
    claimed modules and routes cell-for-cell. *)
 let test_mutation_geometry_dropped_strand () =
@@ -212,43 +246,56 @@ let test_mutation_geometry_dropped_strand () =
   let geom = Emit.geometry r in
   let defects = geom.Tqec_geom.Geometry.defects in
   check Alcotest.bool "geometry has defects" true (defects <> []);
-  (* strands of one loop overlap at corner cells, so drop a strand that
-     covers at least one cell no other strand does — its structure's cell
-     set visibly shrinks *)
-  let covers_uniquely (d : Tqec_geom.Defect.t) =
-    let others =
-      List.concat_map
-        (fun (o : Tqec_geom.Defect.t) ->
-          if o == d then [] else Tqec_geom.Defect.cells o)
-        defects
-    in
-    List.exists (fun c -> not (List.mem c others)) (Tqec_geom.Defect.cells d)
-  in
-  let victim = List.find covers_uniquely defects in
+  let victim = List.find (covers_uniquely defects) defects in
   let corrupted =
     {
       geom with
       Tqec_geom.Geometry.defects = List.filter (fun d -> d != victim) defects;
     }
   in
-  let report =
-    Tqec_verify.Check.run ~stages:[ V.Geometry ]
-      {
-        Tqec_verify.Check.a_icm = r.Pipeline.icm;
-        a_graph = r.Pipeline.graph;
-        a_merges = r.Pipeline.merges;
-        a_flipping = r.Pipeline.flipping;
-        a_dual = r.Pipeline.dual;
-        a_fvalue = r.Pipeline.fvalue;
-        a_placement = r.Pipeline.placement;
-        a_routing = r.Pipeline.routing;
-        a_volume = r.Pipeline.volume;
-        a_geometry = Some corrupted;
-      }
-  in
+  let report = check_geometry r corrupted in
   check Alcotest.bool "verifier rejects dropped strand" false (V.ok report);
   check Alcotest.bool "geometry stage reports it" true
     (codes_at V.Geometry report <> [])
+
+(* Geometry: move one primal strand far off the die; its module core
+   cell loses its strand and the moved cells match no module, so the
+   primal-cells diff reports both sides. *)
+let test_mutation_geometry_moved_primal () =
+  let r = run_three () in
+  let geom = Emit.geometry r in
+  let defects = geom.Tqec_geom.Geometry.defects in
+  let victim =
+    List.find
+      (fun (d : Tqec_geom.Defect.t) ->
+        d.dtype = Tqec_geom.Defect.Primal && covers_uniquely defects d)
+      defects
+  in
+  let shift (v : Tqec_util.Vec3.t) = { v with Tqec_util.Vec3.x = v.x + 1000 } in
+  let moved = { victim with Tqec_geom.Defect.path = List.map shift victim.path } in
+  let corrupted =
+    {
+      geom with
+      Tqec_geom.Geometry.defects =
+        List.map (fun d -> if d == victim then moved else d) defects;
+    }
+  in
+  let report = check_geometry r corrupted in
+  assert_rejected ~stage:V.Geometry ~code:"primal-cells" report;
+  let mentions sub =
+    List.exists
+      (fun (v : V.t) ->
+        v.v_code = "primal-cells"
+        &&
+        let n = String.length v.v_msg and m = String.length sub in
+        let rec scan i = i + m <= n && (String.sub v.v_msg i m = sub || scan (i + 1)) in
+        scan 0)
+      report.V.violations
+  in
+  check Alcotest.bool "a module cell lost its strand" true
+    (mentions "has no primal strand");
+  check Alcotest.bool "a moved cell matches no module" true
+    (mentions "matches no placed module")
 
 let suites =
   [
@@ -259,6 +306,8 @@ let suites =
         Alcotest.test_case "variants and T gadgets clean" `Quick
           test_clean_variants_and_gadgets;
         Alcotest.test_case "stage scoping" `Quick test_stage_scoping;
+        Alcotest.test_case "routing only" `Quick
+          test_routing_only_skips_emission;
         Alcotest.test_case "check alias" `Quick test_check_alias;
       ] );
     ( "verify.mutations",
@@ -283,5 +332,7 @@ let suites =
           test_mutation_volume_misreport;
         Alcotest.test_case "geometry dropped strand" `Quick
           test_mutation_geometry_dropped_strand;
+        Alcotest.test_case "geometry moved primal strand" `Quick
+          test_mutation_geometry_moved_primal;
       ] );
   ]
