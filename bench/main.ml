@@ -17,6 +17,10 @@
                    ("0.05" = 5%); "off" disables early stopping
      TQEC_PARTITION = node cap for divide-and-conquer placement
                    (unset keeps single-die annealing)
+     The knob variables above (EFFORT, SEED, JOBS, RESTARTS,
+     EARLY_STOP, PARTITION) go through the knob table's parsers
+     (Tqec_compress.Knobs); a value they reject exits 2 naming the
+     variable.
      TQEC_SCALE_TIER = 1 to run the scale-tier sweep instead of the
                    paper tables: tier-x<f> instances through the full
                    pipeline, each once with the corridor cache off and
@@ -48,20 +52,22 @@ module Experiments = Tqec_compress.Experiments
 module Report = Tqec_compress.Report
 module Pipeline = Tqec_compress.Pipeline
 module Baselines = Tqec_compress.Baselines
+module Knobs = Tqec_compress.Knobs
 
 let config () =
-  let base = Experiments.config_from_env () in
-  let effort =
-    match Sys.getenv_opt "TQEC_EFFORT" with
-    | Some _ -> base.Experiments.effort
-    | None -> Tqec_place.Placer.Normal
-  in
-  let benchmarks =
-    match Sys.getenv_opt "TQEC_BENCHMARKS" with
-    | Some s -> String.split_on_char ',' s |> List.map String.trim
-    | None -> base.Experiments.benchmarks
-  in
-  { base with Experiments.effort; benchmarks }
+  let pipeline = { Knobs.defaults with effort = Tqec_place.Placer.Normal } in
+  match Experiments.config_from_env ~pipeline () with
+  | Error msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2
+  | Ok base -> (
+      match Sys.getenv_opt "TQEC_BENCHMARKS" with
+      | Some s ->
+          let benchmarks =
+            String.split_on_char ',' s |> List.map String.trim
+          in
+          { base with Experiments.benchmarks }
+      | None -> base)
 
 let rss_cell () =
   match Tqec_util.Stats.peak_rss_kb () with
@@ -118,18 +124,9 @@ let run_scale_tiers (config : Experiments.config) =
     | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> v | _ -> 1)
     | None -> 1
   in
+  let pipeline = config.Experiments.pipeline in
   let pipeline_config corridor_cache =
-    {
-      Pipeline.default_config with
-      effort = config.Experiments.effort;
-      seed = config.Experiments.seed;
-      restarts = config.Experiments.restarts;
-      jobs = config.Experiments.jobs;
-      early_stop_margin = config.Experiments.early_stop_margin;
-      partition = config.Experiments.partition;
-      corridor_cells = Some corridor;
-      corridor_cache;
-    }
+    { pipeline with Pipeline.corridor_cells = Some corridor; corridor_cache }
   in
   let t =
     Tqec_util.Pretty.create
@@ -248,13 +245,8 @@ let run_scale_tiers (config : Experiments.config) =
     Json.Obj
       [
         ("schema", Json.String "tqec-bench-scale/1");
-        ( "effort",
-          Json.String
-            (match config.Experiments.effort with
-            | Tqec_place.Placer.Quick -> "quick"
-            | Tqec_place.Placer.Normal -> "normal"
-            | Tqec_place.Placer.Full -> "full") );
-        ("seed", Json.Int config.Experiments.seed);
+        ("effort", Json.String (Knobs.effort_name pipeline.Pipeline.effort));
+        ("seed", Json.Int pipeline.Pipeline.seed);
         ("corridor_cells", Json.Int corridor);
         ("reps", Json.Int reps);
         ("tiers", Json.List tier_rows);
@@ -282,7 +274,7 @@ let regenerate_tables config =
      tables are identical to a serial run. *)
   let t0 = Unix.gettimeofday () in
   let rows =
-    Tqec_util.Pool.map ?jobs:config.Experiments.jobs
+    Tqec_util.Pool.map ?jobs:config.Experiments.pipeline.Pipeline.jobs
       (fun (e : Suite.entry) ->
         let name = e.Suite.spec.Tqec_circuit.Generator.name in
         Printf.eprintf "[bench] running %s...\n%!" name;
@@ -299,7 +291,7 @@ let regenerate_tables config =
   in
   Printf.eprintf "[bench] suite wall-clock: %.1fs (jobs=%d, rss=%s)\n%!"
     (Unix.gettimeofday () -. t0)
-    (match config.Experiments.jobs with
+    (match config.Experiments.pipeline.Pipeline.jobs with
     | Some j -> j
     | None -> Tqec_util.Pool.default_jobs ())
     (rss_cell ());
@@ -392,16 +384,16 @@ let check_nested () =
   let run jobs =
     Experiments.run_all
       {
-        Experiments.effort = Tqec_place.Placer.Quick;
+        Experiments.pipeline =
+          {
+            Knobs.defaults with
+            restarts = 2;
+            jobs = Some jobs;
+            early_stop_margin = Some 0.05;
+          };
         auto_scale = false;
         scale = 16;
-        seed = 42;
-        restarts = 2;
         benchmarks = [ "4gt10-v1_81"; "4gt4-v0_73" ];
-        jobs = Some jobs;
-        early_stop_margin = Some 0.05;
-        partition = None;
-        debug = false;
       }
     |> List.map (fun (r : Report.row) ->
            (* strip wall-clock fields; everything else must match *)
@@ -542,10 +534,7 @@ let () =
   end;
   Printf.printf
     "TQEC bridge-compression benchmark harness (effort=%s, scale=%d)\n\n"
-    (match config.Experiments.effort with
-    | Tqec_place.Placer.Quick -> "quick"
-    | Tqec_place.Placer.Normal -> "normal"
-    | Tqec_place.Placer.Full -> "full")
+    (Knobs.effort_name config.Experiments.pipeline.Pipeline.effort)
     config.Experiments.scale;
   regenerate_tables config;
   if Sys.getenv_opt "TQEC_BENCH_STAGES" <> Some "0" then begin

@@ -10,24 +10,13 @@ let argv_int i default =
   | v -> v
   | exception (Invalid_argument _ | Failure _) -> default
 
-let argv_string i default =
-  match Sys.argv.(i) with
-  | s -> s
-  | exception Invalid_argument _ -> default
-
 let () =
   let n = argv_int 1 128 in
   let moves = argv_int 2 120_000 in
-  let mode =
-    match argv_string 3 "flat" with
-    | "balanced" -> `Balanced
-    | "flat" -> `Flat
-    | _ -> `Auto
-  in
   let dims =
     Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
   in
-  let t = Bstar_tree.create ~contour:mode dims in
+  let t = Bstar_tree.create dims in
   let rng = Rng.create 42 in
   let xs = Array.make n 0 and ys = Array.make n 0 in
   ignore (Bstar_tree.pack_xy t xs ys);
@@ -53,8 +42,6 @@ let () =
     acc := !acc + w + h;
     if Rng.bool rng then undo ()
   done;
-  Printf.printf "%d blocks, %d moves (%s): %.3fs (checksum %d)\n"
-    n moves
-    (match mode with `Flat -> "flat" | `Balanced -> "balanced" | `Auto -> "auto")
+  Printf.printf "%d blocks, %d moves: %.3fs (checksum %d)\n" n moves
     (Unix.gettimeofday () -. t0)
     !acc

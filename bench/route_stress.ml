@@ -4,7 +4,7 @@
    alias.
 
    Each instance runs the full flow at quick effort, then re-checks the
-   result with [Pipeline.check] — placement overlap, routing
+   result with [Pipeline.verify] — placement overlap, routing
    connectivity/pin coverage, obstacle and bounds legality, capacity and
    overuse accounting — and finally cross-checks the router's
    determinism by re-routing under a different worker count.
@@ -30,9 +30,14 @@ let scale =
   | None -> 4
 
 let seed =
-  match Sys.getenv_opt "TQEC_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> 42)
-  | None -> 42
+  match
+    Tqec_compress.Knobs.of_env ~vars:[ "TQEC_SEED" ] Sys.getenv_opt
+      Pipeline.default_config
+  with
+  | Ok config -> config.Pipeline.seed
+  | Error msg ->
+      prerr_endline ("route-stress: " ^ msg);
+      exit 2
 
 let run_one name =
   match Suite.find name with
@@ -54,7 +59,7 @@ let run_one name =
           circuit
       in
       let r = run (Some 1) in
-      let issues = Pipeline.check r in
+      let issues = Tqec_verify.Violation.to_strings (Pipeline.verify r) in
       let routed = r.Pipeline.routing.Pathfinder.success in
       let deterministic =
         (run (Some 4)).Pipeline.routing = r.Pipeline.routing

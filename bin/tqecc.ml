@@ -17,6 +17,7 @@ module Suite = Tqec_circuit.Suite
 module Pipeline = Tqec_compress.Pipeline
 module Experiments = Tqec_compress.Experiments
 module Report = Tqec_compress.Report
+module Knobs = Tqec_compress.Knobs
 
 (* CLI-grade failure: a malformed instance name or fixture is a usage
    error (message + exit 2), never an uncaught exception trace. *)
@@ -66,167 +67,59 @@ let debug_from_env () = Sys.getenv_opt "TQEC_DEBUG" <> None
 
 let debug_arg =
   let doc =
-    "Per-stage progress trace on stderr (also enabled by \\$(b,TQEC_DEBUG))."
+    "Per-stage progress trace on stderr (also enabled by $(b,TQEC_DEBUG))."
   in
   Arg.(value & flag & info [ "debug" ] ~doc)
 
-let effort_arg =
-  let doc = "Placement effort: quick, normal or full." in
-  let parse s =
-    match Tqec_place.Placer.effort_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected quick|normal|full")
-  in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Tqec_place.Placer.Quick -> "quick"
-      | Tqec_place.Placer.Normal -> "normal"
-      | Tqec_place.Placer.Full -> "full")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Tqec_place.Placer.Quick
-    & info [ "e"; "effort" ] ~docv:"EFFORT" ~doc)
+(* --partition has always defaulted from TQEC_PARTITION; the other knob
+   variables configure the bench harness only. *)
+let env_defaults () =
+  match
+    Knobs.of_env ~vars:[ "TQEC_PARTITION" ] Sys.getenv_opt Knobs.defaults
+  with
+  | Ok config -> config
+  | Error msg -> die "%s" msg
 
-let seed_arg =
-  let doc = "Random seed for the annealer and tie-breaking." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+(* One Cmdliner option per knob-table row.  A value goes through its
+   row's parser, so a rejected one is a usage error worded by the
+   table. *)
+let knob_options =
+  List.map
+    (fun (row : Knobs.row) ->
+      let parse s = Result.map (fun set -> (s, set)) (row.Knobs.parse s) in
+      let print ppf (s, _) = Format.pp_print_string ppf s in
+      ( row,
+        Arg.(
+          value
+          & opt (some (conv' (parse, print))) None
+          & info
+              (row.Knobs.flag :: Option.to_list row.Knobs.alias)
+              ~docv:row.Knobs.docv ~doc:row.Knobs.doc
+              ~absent:(row.Knobs.print Knobs.defaults)) ))
+    Knobs.rows
 
-let restarts_arg =
-  let doc =
-    "Independent annealing trajectories per placement (multi-start; the \
-     best result wins).  Deterministic in (seed, restarts) whatever the \
-     worker count."
+(* The options of the rows [only] picks, folded onto [base]. *)
+let knobs_term ?(only = fun _ -> true) base =
+  let set value config =
+    match value with None -> config | Some (_, set) -> set config
   in
-  Arg.(value & opt int 1 & info [ "r"; "restarts" ] ~docv:"K" ~doc)
+  List.fold_left
+    (fun acc (row, option) ->
+      if only row then Term.(const set $ option $ acc) else acc)
+    base knob_options
 
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel placement restarts, per-iteration \
-     routing batches, and benchmark fan-out.  Defaults to \
-     \\$(b,TQEC_JOBS) or the machine's domain count; 1 forces serial \
-     execution.  Results are identical for any value."
+(* The knobs of a pipeline command: the table's options plus --debug,
+   over the environment's defaults. *)
+let pipeline_knobs ?only () =
+  let debug d config =
+    { config with Pipeline.debug = d || debug_from_env () }
   in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let early_stop_arg =
-  let doc =
-    "Adaptive multi-start: relative margin by which a restart's best \
-     may trail the shared global best before it stops early (e.g. \
-     0.05); $(b,off) disables early stopping.  Lane 0 always runs to \
-     completion and results stay deterministic in (seed, restarts) for \
-     any worker count."
-  in
-  let parse s =
-    if String.lowercase_ascii s = "off" then Ok None
-    else
-      match float_of_string_opt s with
-      | Some m when m >= 0. -> Ok (Some m)
-      | _ -> Error (`Msg "expected a non-negative margin or 'off'")
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "off"
-    | Some m -> Format.fprintf ppf "%g" m
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print))
-        Pipeline.default_config.Pipeline.early_stop_margin
-    & info [ "early-stop" ] ~docv:"MARGIN" ~doc)
-
-let partition_arg =
-  let doc =
-    "Node-count cap for divide-and-conquer placement: an instance with \
-     more super-module nodes is partitioned (deterministic BFS \
-     bisection of the net hypergraph), each part annealed \
-     independently, and the parts stitched by shelf packing.  Defaults \
-     to \\$(b,TQEC_PARTITION); $(b,off) keeps the single-die annealer \
-     on any instance size.  Results are deterministic in (seed, \
-     restarts, cap) for any worker count."
-  in
-  let parse s =
-    if String.lowercase_ascii s = "off" then Ok None
-    else
-      match int_of_string_opt s with
-      | Some v when v >= 1 -> Ok (Some v)
-      | _ -> Error (`Msg "expected a positive node cap or 'off'")
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "off"
-    | Some v -> Format.pp_print_int ppf v
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (Experiments.partition_from_env ())
-    & info [ "partition" ] ~docv:"CAP" ~doc)
-
-let corridor_arg =
-  let doc =
-    "Hierarchical-routing threshold: search windows above this many cells \
-     take the coarse corridor path.  $(b,off) keeps the router's default.  \
-     Recorded in fuzzing reproducers so a shrunk case replays its exact \
-     routing trajectory."
-  in
-  let parse s =
-    if String.lowercase_ascii s = "off" then Ok None
-    else
-      match int_of_string_opt s with
-      | Some v when v >= 1 -> Ok (Some v)
-      | _ -> Error (`Msg "expected a positive cell count or 'off'")
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "off"
-    | Some v -> Format.pp_print_int ppf v
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) None
-    & info [ "corridor" ] ~docv:"CELLS" ~doc)
-
-let corridor_cache_arg =
-  let doc =
-    "Corridor reuse across routing negotiation iterations: $(b,on) \
-     (default) replays a net's coarse corridor when the grid's tile \
-     summary generations prove it unchanged, $(b,off) recomputes every \
-     coarse search.  Routes are bit-identical either way — off exists \
-     for cross-checks and benchmark baselines."
-  in
-  let parse s =
-    match String.lowercase_ascii s with
-    | "on" -> Ok true
-    | "off" -> Ok false
-    | _ -> Error (`Msg "expected on|off")
-  in
-  let print ppf v = Format.pp_print_string ppf (if v then "on" else "off") in
-  Arg.(
-    value
-    & opt (conv (parse, print)) true
-    & info [ "corridor-cache" ] ~docv:"on|off" ~doc)
+  knobs_term ?only
+    Term.(const debug $ debug_arg $ (const env_defaults $ const ()))
 
 let scale_arg =
   let doc = "Scale instances down by this divisor (benchmarks only)." in
   Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
-
-let variant_arg =
-  let doc = "Flow variant: full (ours), dual-only ([10]), modular." in
-  let parse = function
-    | "full" -> Ok Pipeline.Full
-    | "dual-only" -> Ok Pipeline.Dual_only
-    | "modular" -> Ok Pipeline.Modular_only
-    | _ -> Error (`Msg "expected full|dual-only|modular")
-  in
-  let print ppf v =
-    Format.pp_print_string ppf
-      (match v with
-      | Pipeline.Full -> "full"
-      | Pipeline.Dual_only -> "dual-only"
-      | Pipeline.Modular_only -> "modular")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Pipeline.Full
-    & info [ "variant" ] ~docv:"VARIANT" ~doc)
 
 let stats_cmd =
   let run input =
@@ -288,8 +181,7 @@ let porcelain_arg =
   Arg.(value & flag & info [ "porcelain" ] ~doc)
 
 let compress_cmd =
-  let run input variant effort seed scale restarts jobs early_stop partition
-      corridor corridor_cache optimize timings porcelain debug =
+  let run input config scale optimize timings porcelain =
     let c =
       match Suite.find input with
       | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
@@ -303,12 +195,6 @@ let compress_cmd =
         c'
       end
       else c
-    in
-    let config =
-      { Pipeline.default_config with variant; effort; seed;
-        restarts = max 1 restarts; jobs; early_stop_margin = early_stop;
-        partition; corridor_cells = corridor; corridor_cache;
-        debug = debug || debug_from_env () }
     in
     let r =
       match Pipeline.run ~config c with
@@ -331,7 +217,7 @@ let compress_cmd =
         r.Pipeline.routing.Tqec_route.Pathfinder.success r.Pipeline.elapsed
     end;
     if timings then print_timings r;
-    match Pipeline.check r with
+    match Tqec_verify.Violation.to_strings (Pipeline.verify r) with
     | [] -> ()
     | issues ->
         List.iter (Format.eprintf "warning: %s@.") issues;
@@ -339,39 +225,32 @@ let compress_cmd =
   in
   Cmd.v
     (Cmd.info "compress" ~doc:"Run the bridge-compression flow.")
-    Term.(const run $ input_arg $ variant_arg $ effort_arg $ seed_arg
-          $ scale_arg $ restarts_arg $ jobs_arg $ early_stop_arg
-          $ partition_arg $ corridor_arg $ corridor_cache_arg $ optimize_arg
-          $ timings_arg $ porcelain_arg $ debug_arg)
-
-let experiment_config effort scale seed restarts jobs early_stop benchmarks =
-  {
-    Experiments.effort;
-    scale;
-    auto_scale = Sys.getenv_opt "TQEC_FULLSIZE" = None;
-    seed;
-    benchmarks = (if benchmarks = [] then Suite.names else benchmarks);
-    restarts = max 1 restarts;
-    jobs;
-    early_stop_margin = early_stop;
-    partition = Experiments.partition_from_env ();
-    debug = debug_from_env ();
-  }
+    Term.(const run $ input_arg $ pipeline_knobs () $ scale_arg $ optimize_arg
+          $ timings_arg $ porcelain_arg)
 
 let benchmarks_arg =
   let doc = "Restrict to the given benchmark names." in
   Arg.(value & opt_all string [] & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
 
+(* Each table runs both the dual-only baseline and the full flow, so it
+   takes every knob but the variant. *)
 let table_cmd name doc render =
-  let run effort scale seed restarts jobs early_stop benchmarks =
+  let run pipeline scale benchmarks =
     let config =
-      experiment_config effort scale seed restarts jobs early_stop benchmarks
+      {
+        Experiments.pipeline;
+        scale;
+        auto_scale = Sys.getenv_opt "TQEC_FULLSIZE" = None;
+        benchmarks = (if benchmarks = [] then Suite.names else benchmarks);
+      }
     in
     print_string (render config)
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ effort_arg $ scale_arg $ seed_arg $ restarts_arg
-          $ jobs_arg $ early_stop_arg $ benchmarks_arg)
+    Term.(
+      const run
+      $ pipeline_knobs ~only:(fun r -> r.Knobs.flag <> "variant") ()
+      $ scale_arg $ benchmarks_arg)
 
 let table1_cmd =
   table_cmd "table1" "Regenerate Table 1 (benchmark statistics)."
@@ -416,15 +295,11 @@ let export_cmd =
             "Write the OBJ even when verification fails (the report is \
              still printed to stderr).")
   in
-  let run input variant effort seed scale jobs out force debug =
+  let run input config scale out force =
     let c =
       match Suite.find input with
       | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
       | None -> load_circuit input
-    in
-    let config =
-      { Pipeline.default_config with variant; effort; seed; jobs;
-        debug = debug || debug_from_env () }
     in
     let r = Pipeline.run ~config c in
     (* Undocumented test hook: plant a fault after the run so the
@@ -465,8 +340,8 @@ let export_cmd =
           The whole-pipeline translation validation runs first; an \
           unsound result is refused (non-zero exit) unless --force is \
           given.")
-    Term.(const run $ input_arg $ variant_arg $ effort_arg $ seed_arg
-          $ scale_arg $ jobs_arg $ out_arg $ force_arg $ debug_arg)
+    Term.(const run $ input_arg $ pipeline_knobs () $ scale_arg $ out_arg
+          $ force_arg)
 
 let check_cmd =
   let stage_arg =
@@ -502,18 +377,11 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "fingerprint" ] ~doc)
   in
-  let run input variant effort seed scale restarts jobs early_stop partition
-      corridor corridor_cache fingerprint stages debug =
+  let run input config scale fingerprint stages =
     let c =
       match Suite.find input with
       | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
       | None -> load_circuit input
-    in
-    let config =
-      { Pipeline.default_config with variant; effort; seed;
-        restarts = max 1 restarts; jobs; early_stop_margin = early_stop;
-        partition; corridor_cells = corridor; corridor_cache;
-        debug = debug || debug_from_env () }
     in
     let r = Pipeline.run ~config c in
     let stages = match stages with [] -> None | ss -> Some ss in
@@ -531,10 +399,8 @@ let check_cmd =
          "Run the flow and the whole-pipeline translation validation: \
           every stage boundary's invariants are re-derived independently \
           and cross-checked.  Non-zero exit on any violation.")
-    Term.(const run $ input_arg $ variant_arg $ effort_arg $ seed_arg
-          $ scale_arg $ restarts_arg $ jobs_arg $ early_stop_arg
-          $ partition_arg $ corridor_arg $ corridor_cache_arg
-          $ fingerprint_arg $ stage_arg $ debug_arg)
+    Term.(const run $ input_arg $ pipeline_knobs () $ scale_arg
+          $ fingerprint_arg $ stage_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / request                                                    *)
@@ -652,8 +518,7 @@ let request_cmd =
     let doc = "Print streamed per-stage progress frames on stderr." in
     Arg.(value & flag & info [ "progress" ] ~doc)
   in
-  let run socket input variant effort seed scale restarts jobs early_stop
-      partition corridor verify stats shutdown progress debug =
+  let run socket input config scale verify stats shutdown progress =
     let request =
       if stats then Protocol.Stats
       else if shutdown then Protocol.Shutdown
@@ -694,20 +559,7 @@ let request_cmd =
                   name
                   (String.concat ", " Suite.names)
         in
-        let knobs =
-          {
-            Protocol.variant;
-            effort;
-            seed;
-            restarts = max 1 restarts;
-            jobs;
-            early_stop;
-            partition;
-            corridor;
-            debug = debug || debug_from_env ();
-            verify;
-          }
-        in
+        let knobs = { (Protocol.knobs_of_config config) with verify } in
         Protocol.Compress { input; knobs }
     in
     let on_progress ~stage ~seconds =
@@ -740,10 +592,10 @@ let request_cmd =
        ~doc:
          "Send one request to a running $(b,tqecc serve) daemon and print \
           the result (exit 3 when the daemon refuses with busy).")
-    Term.(const run $ socket_arg $ input_arg $ variant_arg $ effort_arg
-          $ seed_arg $ scale_arg $ restarts_arg $ jobs_arg $ early_stop_arg
-          $ partition_arg $ corridor_arg $ verify_flag $ stats_flag
-          $ shutdown_flag $ progress_flag $ debug_arg)
+    Term.(const run $ socket_arg $ input_arg
+          $ pipeline_knobs ~only:(fun r -> r.Knobs.wire <> None) ()
+          $ scale_arg $ verify_flag $ stats_flag $ shutdown_flag
+          $ progress_flag)
 
 let render_cmd =
   let run input =
@@ -794,6 +646,11 @@ let lint_cmd =
   let list_rules_flag =
     let doc = "Print the rule catalog and exit." in
     Arg.(value & flag & info [ "list-rules" ] ~doc)
+  in
+  let jobs_arg =
+    Term.(
+      const (fun c -> c.Pipeline.jobs)
+      $ knobs_term ~only:(fun r -> r.Knobs.flag = "jobs") (const Knobs.defaults))
   in
   let run dirs format rule_ids baseline_path list_rules jobs =
     if list_rules then begin

@@ -101,7 +101,7 @@ let () =
   Format.printf "merged %d modules into chains.@."
     (dual.Pipeline.stages.Pipeline.st_nodes
     - ours.Pipeline.stages.Pipeline.st_nodes);
-  match Pipeline.check ours with
+  match Tqec_verify.Violation.to_strings (Pipeline.verify ours) with
   | [] -> Format.printf "all structural checks passed.@."
   | issues ->
       List.iter (Format.printf "check: %s@.") issues;

@@ -6,35 +6,11 @@ module Icm = Tqec_icm.Icm
 module Placer = Tqec_place.Placer
 
 type config = {
-  effort : Placer.effort;
+  pipeline : Pipeline.config;
   scale : int;
   auto_scale : bool;
-  seed : int;
   benchmarks : string list;
-  restarts : int;
-  jobs : int option;
-  early_stop_margin : float option;
-  partition : int option;
-  debug : bool;
 }
-
-(* env-read: call-time capture, daemon-safe by construction — [env] is
-   only reached from [partition_from_env] / [config_from_env], which the
-   CLI and bench entry points call once per invocation to build their
-   defaults.  The serving daemon never consults the environment for
-   request-scoped behavior: every request carries explicit knobs. *)
-let env name = Sys.getenv_opt name
-
-(* TQEC_PARTITION: node-count cap for divide-and-conquer placement
-   ("400" = partition instances beyond 400 nodes); "off" / unset / a
-   non-positive value keeps the single-die annealer. *)
-let partition_from_env () =
-  match env "TQEC_PARTITION" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some v when v >= 1 -> Some v
-      | _ -> None)
-  | None -> None
 
 (* Keep each instance near the largest size that places and routes in a
    few minutes (about rd84's 2600 modules). *)
@@ -42,49 +18,27 @@ let auto_factor (entry : Suite.entry) =
   let modules = entry.Suite.paper.Suite.p_modules in
   max 1 ((modules + 2599) / 2600)
 
-let config_from_env () =
-  let effort =
-    match env "TQEC_EFFORT" with
-    | Some s -> (
-        match Placer.effort_of_string (String.lowercase_ascii s) with
-        | Some e -> e
-        | None -> Placer.Quick)
-    | None -> Placer.Quick
-  in
-  let scale =
-    match env "TQEC_SCALE" with
-    | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> v | _ -> 1)
-    | None -> 1
-  in
-  let seed =
-    match env "TQEC_SEED" with
-    | Some s -> ( match int_of_string_opt s with Some v -> v | None -> 42)
-    | None -> 42
-  in
-  let auto_scale = env "TQEC_FULLSIZE" = None in
-  let restarts =
-    match env "TQEC_RESTARTS" with
-    | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> v | _ -> 1)
-    | None -> 1
-  in
-  let jobs =
-    match env "TQEC_JOBS" with
-    | Some s -> ( match int_of_string_opt s with Some v when v >= 1 -> Some v | _ -> None)
-    | None -> None
-  in
-  (* TQEC_EARLY_STOP: relative margin for adaptive multi-start early
-     stopping ("0.05" = 5%); "off" (or any non-float) disables it. *)
-  let early_stop_margin =
-    match env "TQEC_EARLY_STOP" with
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some m when m >= 0. -> Some m
-        | _ -> None)
-    | None -> Pipeline.default_config.Pipeline.early_stop_margin
-  in
-  { effort; scale; auto_scale; seed; benchmarks = Suite.names; restarts; jobs;
-    early_stop_margin; partition = partition_from_env ();
-    debug = env "TQEC_DEBUG" <> None }
+let config_from_env ?(pipeline = Knobs.defaults) () =
+  (* env-read: call-time capture, daemon-safe by construction — the CLI
+     and bench entry points call this once per invocation to build their
+     defaults.  The serving daemon never consults the environment for
+     request-scoped behavior: every request carries explicit knobs. *)
+  let env = Sys.getenv_opt in
+  match Knobs.of_env env pipeline with
+  | Error _ as e -> e
+  | Ok pipeline ->
+      let scale =
+        match Option.bind (env "TQEC_SCALE") int_of_string_opt with
+        | Some v when v >= 1 -> v
+        | _ -> 1
+      in
+      Ok
+        {
+          pipeline = { pipeline with debug = env "TQEC_DEBUG" <> None };
+          scale;
+          auto_scale = env "TQEC_FULLSIZE" = None;
+          benchmarks = Suite.names;
+        }
 
 let run_benchmark config (entry : Suite.entry) =
   let factor =
@@ -95,27 +49,13 @@ let run_benchmark config (entry : Suite.entry) =
   let icm = Decompose.run (Clifford_t.decompose circuit) in
   let stats = Icm.stats icm in
   let lin1d = Baselines.lin_1d icm and lin2d = Baselines.lin_2d icm in
+  (* inner stages (placement multi-start, the router's per-iteration
+     batches) share the same persistent pool as the suite fan-out: a
+     blocked instance helps drain nested tasks, so nesting composes
+     without oversubscription and small suites soak idle workers with
+     restarts — and the output is jobs-invariant either way *)
   let run variant =
-    Pipeline.run_icm
-      ~config:
-        {
-          Pipeline.default_config with
-          variant;
-          effort = config.effort;
-          seed = config.seed;
-          restarts = config.restarts;
-          early_stop_margin = config.early_stop_margin;
-          partition = config.partition;
-          debug = config.debug;
-          (* inner stages (placement multi-start, the router's
-             per-iteration batches) share the same persistent pool as
-             the suite fan-out: a blocked instance helps drain nested
-             tasks, so nesting composes without oversubscription and
-             small suites soak idle workers with restarts — and the
-             output is jobs-invariant either way *)
-          jobs = config.jobs;
-        }
-      icm
+    Pipeline.run_icm ~config:{ config.pipeline with Pipeline.variant } icm
   in
   let dual_only = run Pipeline.Dual_only in
   let ours = run Pipeline.Full in
@@ -146,7 +86,8 @@ let run_all config =
   |> List.filter (fun (e : Suite.entry) ->
          List.mem e.Suite.spec.Generator.name config.benchmarks)
   |> Array.of_list
-  |> Tqec_util.Pool.map ?jobs:config.jobs (run_benchmark config)
+  |> Tqec_util.Pool.map ?jobs:config.pipeline.Pipeline.jobs
+       (run_benchmark config)
   |> Array.to_list
 
 let fig1_series () =

@@ -1,51 +1,35 @@
 (** The experiment harness regenerating every table and figure of the
     paper's evaluation (Tables 1-3, the Fig. 1 volume sequence).
 
-    Effort and instance scale come from the environment when not given:
-    [TQEC_EFFORT] in quick|normal|full (default quick for the bench
-    harness) and [TQEC_SCALE] (an integer divisor applied to the largest
-    benchmarks so the harness terminates in minutes; 1 = full size). *)
+    Knobs and instance scale come from the environment when not given:
+    the knob table's variables (e.g. [TQEC_EFFORT] in
+    quick|normal|full) and [TQEC_SCALE] (an integer divisor applied to
+    the largest benchmarks so the harness terminates in minutes; 1 =
+    full size). *)
 
 type config = {
-  effort : Tqec_place.Placer.effort;
+  pipeline : Pipeline.config;
+      (** knobs for every run; [variant] is overridden, since each
+          benchmark runs both the dual-only baseline and the full flow.
+          [jobs] also sizes the suite fan-out *)
   scale : int;  (** divisor for gate counts; 1 = full-size instances *)
   auto_scale : bool;
       (** additionally scale the largest instances down so each stays
           near the largest tractable size (rd84-scale, ~2600 modules);
           disable with TQEC_FULLSIZE=1 for a full-size run *)
-  seed : int;
   benchmarks : string list;  (** names to run; defaults to all eight *)
-  restarts : int;
-      (** independent annealing trajectories per placement (multi-start;
-          best wins); deterministic in (seed, restarts) *)
-  jobs : int option;
-      (** worker domains for the suite fan-out; [None] defers to
-          [TQEC_JOBS] / the machine's domain count, [Some 1] is the
-          historical serial behaviour *)
-  early_stop_margin : float option;
-      (** adaptive multi-start early-stop margin (see
-          {!Tqec_place.Placer.config}); [None] disables early stopping *)
-  partition : int option;
-      (** divide-and-conquer placement cap (see
-          {!Tqec_place.Placer.config}); [None] keeps single-die
-          annealing *)
-  debug : bool;
-      (** per-stage pipeline/router traces on stderr (see
-          {!Pipeline.config}); defaults from [TQEC_DEBUG] in
-          {!config_from_env} *)
 }
 
-(** [config_from_env ()] reads TQEC_EFFORT / TQEC_SCALE / TQEC_SEED /
-    TQEC_RESTARTS / TQEC_JOBS / TQEC_EARLY_STOP ("off" to disable) /
-    TQEC_PARTITION (a node cap; unset or non-positive to disable) /
-    TQEC_DEBUG.  All reads happen at call time (an entry point builds
-    its defaults once per invocation); nothing is captured at module
-    load, so a long-running process never freezes these. *)
-val config_from_env : unit -> config
-
-(** [partition_from_env ()] parses TQEC_PARTITION alone — the shared
-    default for [tqecc --partition] and the benchmark harness. *)
-val partition_from_env : unit -> int option
+(** [config_from_env ?pipeline ()] applies the knob table's variables
+    (TQEC_EFFORT, TQEC_SEED, TQEC_RESTARTS, TQEC_JOBS, TQEC_EARLY_STOP,
+    TQEC_PARTITION; see {!Knobs}) on top of [pipeline] (default
+    {!Knobs.defaults}) and reads TQEC_SCALE, TQEC_FULLSIZE and
+    TQEC_DEBUG.  A knob variable its row rejects is [Error] naming the
+    variable.  All reads happen at call time (an entry point builds its
+    defaults once per invocation); nothing is captured at module load,
+    so a long-running process never freezes these. *)
+val config_from_env :
+  ?pipeline:Pipeline.config -> unit -> (config, string) result
 
 (** [run_benchmark config entry] measures one suite entry end to end. *)
 val run_benchmark : config -> Tqec_circuit.Suite.entry -> Report.row

@@ -25,7 +25,6 @@ type config = {
   jobs : int option;
   early_stop_margin : float option;
   partition : int option;
-  auto_partition : int option;
   corridor_cells : int option;
   corridor_cache : bool;
   sa_moves_cap : int option;
@@ -37,7 +36,7 @@ let default_config =
   { variant = Full; effort = Placer.Normal; seed = 42; enable_ishape = true;
     z_cap = None; strategy = Placer.Annealing; restarts = 1; jobs = None;
     early_stop_margin = Placer.default_config.Placer.early_stop_margin;
-    partition = None; auto_partition = None; corridor_cells = None;
+    partition = None; corridor_cells = None;
     corridor_cache = Pathfinder.default_config.Pathfinder.corridor_cache;
     sa_moves_cap = None; debug = false; verify = None }
 
@@ -217,17 +216,9 @@ let routing_layers (placement : Placer.t) nets =
   let area = float_of_int (max 1 (placement.Placer.width * placement.Placer.height)) in
   Tqec_util.Stats.clamp 1 16 (int_of_float (Float.ceil (1.5 *. demand /. area)))
 
-(* The routing grid reconstruction shared by [run_icm] and [check]: the
-   validator must see the same die, obstacle and shared-pin masks the
-   routes were produced against, or legality checks are meaningless.
-   [?extra_z] lets a caller that already computed [routing_layers] pass
-   it in instead of recomputing. *)
-let build_route_grid ?extra_z graph placement nets =
-  let extra_z =
-    match extra_z with
-    | Some z -> z
-    | None -> routing_layers placement nets
-  in
+(* The routing grid: the placement's die extended by [extra_z] routing
+   layers, with module obstacles and shared pin cells marked. *)
+let build_route_grid ~extra_z graph placement nets =
   let die = placement_bbox ~extra_z placement in
   let grid = Grid.create ~die (Box3.inflate 2 die) in
   obstacles grid graph placement;
@@ -307,10 +298,6 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
       jobs = config.jobs;
       early_stop_margin = config.early_stop_margin;
       partition = config.partition;
-      auto_partition =
-        (match config.auto_partition with
-        | Some t -> t
-        | None -> Placer.default_config.Placer.auto_partition);
       sa_moves_cap = config.sa_moves_cap;
     }
   in
@@ -456,8 +443,6 @@ let run ?(config = default_config) ?on_stage circuit =
     else Tqec_circuit.Clifford_t.decompose circuit
   in
   run_icm ~config ?on_stage (Tqec_icm.Decompose.run circuit)
-
-let check r = Tqec_verify.Violation.to_strings (verify r)
 
 (* The deterministic result record: exactly what `tqecc compress` prints
    minus the wall-clock tail.  A pure function of (input, seed, knobs) —

@@ -34,13 +34,9 @@ type config = {
   partition : int option;
       (** divide-and-conquer placement threshold (see
           {!Tqec_place.Placer.config}); [None] (the default) defers to
-          the placer's automatic node-count threshold
-          ([auto_partition]) *)
-  auto_partition : int option;
-      (** override for the placer's automatic partition threshold (see
-          {!Tqec_place.Placer.config}); [None] (the default) keeps the
-          placer's default (4000 nodes — above every paper-suite
-          instance, so those stay single-die bit-for-bit) *)
+          the placer's automatic node-count threshold (4000 nodes — above
+          every paper-suite instance, so those stay single-die
+          bit-for-bit) *)
   corridor_cells : int option;
       (** hierarchical-routing threshold override (see
           {!Tqec_route.Pathfinder.config}); [None] (the default) keeps
@@ -157,8 +153,3 @@ val fingerprint : t -> string
     geometry stage is among those checked. *)
 val verify :
   ?stages:Tqec_verify.Violation.stage list -> t -> Tqec_verify.Violation.report
-
-(** [check r] = [Tqec_verify.Violation.to_strings (verify r)]; empty when
-    sound.  Deprecated alias kept for existing callers — new code should
-    use {!verify} and inspect the structured report. *)
-val check : t -> string list

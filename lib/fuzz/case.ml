@@ -112,13 +112,14 @@ let config_of case =
   }
 
 let flag_vector case =
-  Printf.sprintf "--seed %d -r %d -j %d%s%s" case.seed case.restarts case.jobs
-    (match case.partition with
-    | None -> ""
-    | Some p -> Printf.sprintf " --partition %d" p)
-    (match case.corridor_cells with
-    | None -> ""
-    | Some c -> Printf.sprintf " --corridor %d" c)
+  let module Knobs = Tqec_compress.Knobs in
+  let config = config_of case in
+  Knobs.rows
+  |> List.filter_map (fun (row : Knobs.row) ->
+         let value = row.Knobs.print config in
+         if value = row.Knobs.print Knobs.defaults then None
+         else Some (Printf.sprintf "--%s %s" row.Knobs.flag value))
+  |> String.concat " "
 
 let print case =
   Printf.sprintf "%s# replay: tqecc check <this file as .qct> %s\n"

@@ -30,8 +30,10 @@ val gen_circuit : Tqec_circuit.Circuit.t QCheck2.Gen.t
     knobs (variant [Full] and default effort/strategy). *)
 val config_of : t -> Tqec_compress.Pipeline.config
 
-(** [flag_vector case] renders the knobs as the exact [tqecc] flags that
-    replay the run: ["--seed S -r R -j J [--partition P] [--corridor C]"]. *)
+(** [flag_vector case] renders [config_of case] as the exact [tqecc]
+    flags that replay the run: every knob-table row whose value differs
+    from {!Tqec_compress.Knobs.defaults}, as ["--flag value"] in table
+    order, e.g. ["--seed 9 --jobs 3 --corridor 64 --sa-moves-cap 3000"]. *)
 val flag_vector : t -> string
 
 (** [print case] is the replayable reproducer: the circuit in [.qct]

@@ -1,163 +1,9 @@
 module Rng = Tqec_util.Rng
 
-(* Persistent balanced skyline contour.  Breakpoints (x, y) mean the
-   contour has height y from x to the next breakpoint (the last extends
-   forever); the minimum key is always 0.  An AVL with join-based splits
-   makes a placement O((k + 1) log n) where k is the number of
-   breakpoints the new block swallows — and since every placement
-   inserts at most two breakpoints, the amortized cost is O(log n).
-   Persistence is what makes incremental repacking cheap: the contour
-   after every DFS step is checkpointed by storing the root pointer,
-   O(1) per step. *)
-module Contour : sig
-  type t
-
-  val initial : t
-  (** the all-zero contour: single breakpoint (0, 0) *)
-
-  val place : t -> x0:int -> x1:int -> h:int -> t * int
-  (** [place c ~x0 ~x1 ~h] drops a block of height [h] spanning
-      [x0, x1) onto the contour; returns the new contour and the base y
-      the block rests on. *)
-end = struct
-  type t =
-    | Leaf
-    | Node of { l : t; x : int; y : int; r : t; ht : int }
-
-  let ht = function Leaf -> 0 | Node n -> n.ht
-
-  let mk l x y r = Node { l; x; y; r; ht = 1 + max (ht l) (ht r) }
-
-  (* standard AVL rebalance; valid when the height difference is <= 3 *)
-  let bal l x y r =
-    let hl = ht l and hr = ht r in
-    if hl > hr + 2 then
-      match l with
-      | Node { l = ll; x = lx; y = ly; r = lr; _ } ->
-          if ht ll >= ht lr then mk ll lx ly (mk lr x y r)
-          else begin
-            match lr with
-            | Node { l = lrl; x = lrx; y = lry; r = lrr; _ } ->
-                mk (mk ll lx ly lrl) lrx lry (mk lrr x y r)
-            (* partial: height > sibling + 2 forces a Node (AVL) *)
-            | Leaf -> assert false
-          end
-      (* partial: hl > hr + 2 >= 2 means l cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    else if hr > hl + 2 then
-      match r with
-      | Node { l = rl; x = rx; y = ry; r = rr; _ } ->
-          if ht rr >= ht rl then mk (mk l x y rl) rx ry rr
-          else begin
-            match rl with
-            | Node { l = rll; x = rlx; y = rly; r = rlr; _ } ->
-                mk (mk l x y rll) rlx rly (mk rlr rx ry rr)
-            (* partial: height > sibling + 2 forces a Node (AVL) *)
-            | Leaf -> assert false
-          end
-      (* partial: hr > hl + 2 >= 2 means r cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    else mk l x y r
-
-  (* join trees of arbitrary heights around a middle binding *)
-  let rec join l x y r =
-    let hl = ht l and hr = ht r in
-    if hl > hr + 2 then begin
-      match l with
-      | Node { l = ll; x = lx; y = ly; r = lr; _ } ->
-          bal ll lx ly (join lr x y r)
-      (* partial: hl > hr + 2 >= 2 means l cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    end
-    else if hr > hl + 2 then begin
-      match r with
-      | Node { l = rl; x = rx; y = ry; r = rr; _ } ->
-          bal (join l x y rl) rx ry rr
-      (* partial: hr > hl + 2 >= 2 means r cannot be a Leaf (AVL) *)
-      | Leaf -> assert false
-    end
-    else mk l x y r
-
-  (* (keys < k, keys >= k) *)
-  let rec split_lt k = function
-    | Leaf -> (Leaf, Leaf)
-    | Node { l; x; y; r; _ } ->
-        if x < k then begin
-          let m, hi = split_lt k r in
-          (join l x y m, hi)
-        end
-        else begin
-          let lo, m = split_lt k l in
-          (lo, join m x y r)
-        end
-
-  (* (keys <= k, keys > k) *)
-  let rec split_le k = function
-    | Leaf -> (Leaf, Leaf)
-    | Node { l; x; y; r; _ } ->
-        if x <= k then begin
-          let m, hi = split_le k r in
-          (join l x y m, hi)
-        end
-        else begin
-          let lo, m = split_le k l in
-          (lo, join m x y r)
-        end
-
-  let rec min_binding = function
-    | Leaf -> None
-    | Node { l = Leaf; x; y; _ } -> Some (x, y)
-    | Node { l; _ } -> min_binding l
-
-  let rec max_binding = function
-    | Leaf -> None
-    | Node { x; y; r = Leaf; _ } -> Some (x, y)
-    | Node { r; _ } -> max_binding r
-
-  let rec iter f = function
-    | Leaf -> ()
-    | Node { l; x; y; r; _ } ->
-        iter f l;
-        f x y;
-        iter f r
-
-  let initial = mk Leaf 0 0 Leaf
-
-  let place t ~x0 ~x1 ~h =
-    let left, rest = split_lt x0 t in
-    (* mid: swallowed breakpoints in [x0, x1]; right: untouched tail *)
-    let mid, right = split_le x1 rest in
-    (* height of the segment covering x0 (greatest key <= x0) *)
-    let cov =
-      match min_binding mid with
-      | Some (k, y) when k = x0 -> y
-      | _ -> ( match max_binding left with Some (_, y) -> y | None -> 0)
-    in
-    (* base: tallest segment overlapping (x0, x1); y_end: contour height
-       just right of x1 (the segment covering x1) *)
-    let base = ref cov and y_end = ref cov in
-    iter
-      (fun k y ->
-        if k < x1 && y > !base then base := y;
-        y_end := y)
-      mid;
-    let t' = join left x0 (!base + h) (join Leaf x1 !y_end right) in
-    (t', !base)
-end
-
-(* Flat contours checkpoint every [cp_interval] DFS steps; an
+(* The skyline is checkpointed every [cp_interval] DFS steps; an
    incremental repack replays at most [cp_interval - 1] cached
    placements to rebuild the contour at the divergence point. *)
 let cp_interval = 8
-
-(* Trees at least this large use the balanced persistent contour; below
-   it the flat array splice wins on constants.  Measured on this
-   machine the binary-search flat splice still beats the AVL by ~3x at
-   2048 blocks (pointer chasing and allocation dominate), so the
-   crossover is set well beyond every suite instance; the balanced
-   back-end stays available via [?contour] and is differentially tested
-   against the flat one. *)
-let balanced_threshold = 100_000
 
 (* Tree slots form the binary tree; each slot holds a block id.  Moves
    permute block ids across slots, so [pack] can report positions per
@@ -190,15 +36,13 @@ type t = {
      A prefix of steps whose (block, x0, w, h) tuples are unchanged
      packs to exactly the same positions and contour, so the next pack
      reuses it and restarts the skyline from a checkpoint. *)
-  balanced : bool;
   mutable c_valid : int; (* cached steps (0 before the first pack) *)
   c_block : int array; (* by DFS step *)
   c_x : int array;
   c_w : int array; (* effective (rotation-applied) dims at pack time *)
   c_h : int array;
   c_y : int array;
-  c_contour : Contour.t array; (* balanced: contour AFTER each step *)
-  (* flat: contour BEFORE step j * cp_interval, row-major *)
+  (* contour BEFORE step j * cp_interval, row-major *)
   cp_x : int array;
   cp_y : int array;
   cp_len : int array;
@@ -244,15 +88,9 @@ let rebuild_free t =
 (* construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let alloc ?(contour = `Auto) dims =
+let alloc dims =
   let n = Array.length dims in
-  let balanced =
-    match contour with
-    | `Auto -> n >= balanced_threshold
-    | `Flat -> false
-    | `Balanced -> true
-  in
-  let cp_rows = if balanced then 0 else (n / cp_interval) + 1 in
+  let cp_rows = (n / cp_interval) + 1 in
   let cp_width = (2 * n) + 2 in
   {
     n;
@@ -273,22 +111,20 @@ let alloc ?(contour = `Auto) dims =
     sk_len = 0;
     st_slot = Array.make (n + 1) 0;
     st_x = Array.make (n + 1) 0;
-    balanced;
     c_valid = 0;
     c_block = Array.make n 0;
     c_x = Array.make n 0;
     c_w = Array.make n 0;
     c_h = Array.make n 0;
     c_y = Array.make n 0;
-    c_contour = Array.make (if balanced then n else 0) Contour.initial;
     cp_x = Array.make (cp_rows * cp_width) 0;
     cp_y = Array.make (cp_rows * cp_width) 0;
-    cp_len = Array.make (max 1 cp_rows) 0;
+    cp_len = Array.make cp_rows 0;
   }
 
-let create ?contour dims =
+let create dims =
   if Array.length dims = 0 then invalid_arg "Bstar_tree.create: no blocks";
-  let t = alloc ?contour dims in
+  let t = alloc dims in
   let n = t.n in
   (* Initial shape: left-chain spine with right children hung off it in
      index order packs blocks into rows; a complete binary tree packs
@@ -307,10 +143,10 @@ let create ?contour dims =
   rebuild_free t;
   t
 
-let create_shelves ?contour dims =
+let create_shelves dims =
   if Array.length dims = 0 then
     invalid_arg "Bstar_tree.create_shelves: no blocks";
-  let t = alloc ?contour dims in
+  let t = alloc dims in
   let n = t.n in
   let total_area =
     Array.fold_left (fun acc (w, h) -> acc + (w * h)) 0 dims
@@ -539,16 +375,14 @@ let flat_restart t k =
    (block, x0, w, h) tuples: the y of step i and the contour after it
    depend only on steps 0..i.  So the longest prefix of tuples equal to
    the cached previous pack keeps its cached positions verbatim; the
-   skyline restarts at the first divergent step — from a stored
-   persistent-contour root (balanced) or the nearest flat checkpoint
-   plus a short replay — and only the suffix is re-placed.  The cache
-   always describes the latest pack, even one the annealer later
-   rejects: prefix equality is checked tuple by tuple, so a stale
+   skyline restarts at the first divergent step — from the nearest
+   checkpoint plus a short replay — and only the suffix is re-placed.
+   The cache always describes the latest pack, even one the annealer
+   later rejects: prefix equality is checked tuple by tuple, so a stale
    suffix can never be reused by accident. *)
 let pack_xy t xs ys =
   let max_w = ref 0 and max_h = ref 0 in
   let diverged = ref false in
-  let bcontour = ref Contour.initial in
   let st_slot = t.st_slot and st_x = t.st_x in
   st_slot.(0) <- t.root;
   st_x.(0) <- 0;
@@ -577,26 +411,10 @@ let pack_xy t xs ys =
     else begin
       if not !diverged then begin
         diverged := true;
-        if t.balanced then
-          bcontour :=
-            (if !i = 0 then Contour.initial else t.c_contour.(!i - 1))
-        else flat_restart t !i
+        flat_restart t !i
       end;
-      let y =
-        if t.balanced then begin
-          let c', y =
-            Contour.place !bcontour ~x0 ~x1:(x0 + w) ~h
-          in
-          bcontour := c';
-          t.c_contour.(!i) <- c';
-          y
-        end
-        else begin
-          if !i mod cp_interval = 0 then
-            flat_save_checkpoint t (!i / cp_interval);
-          flat_place t x0 (x0 + w) h
-        end
-      in
+      if !i mod cp_interval = 0 then flat_save_checkpoint t (!i / cp_interval);
+      let y = flat_place t x0 (x0 + w) h in
       t.c_block.(!i) <- b;
       t.c_x.(!i) <- x0;
       t.c_w.(!i) <- w;

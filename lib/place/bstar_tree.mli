@@ -11,11 +11,9 @@
     (block, x, effective w/h, y) together with contour restart points,
     and the next pack reuses the longest prefix of steps whose inputs
     are unchanged — a local move late in the DFS order repacks only the
-    suffix.  Two contour back-ends implement the restart: small trees
-    keep the allocation-free flat array splice with periodic contour
-    checkpoints; large trees use a persistent balanced (AVL) contour
-    whose per-step roots are O(1) to retain, making each placement
-    O(log n).  Both produce bit-identical placements.
+    suffix.  The skyline is an allocation-free sorted array of
+    breakpoints, checkpointed every few DFS steps so a restart replays
+    only a handful of cached placements.
 
     Blocks carry a footprint (w, h); rotation swaps the two.  The 2.5D
     aspect of the flow (block z-extents) is handled by the placer on
@@ -24,18 +22,14 @@
 type t
 
 (** [create dims] builds an initial balanced tree over blocks with the
-    given (w, h) footprints, in index order.  [?contour] selects the
-    packing back-end: [`Auto] (default) picks flat below 512 blocks and
-    balanced above; [`Flat]/[`Balanced] force one (used by the
-    differential tests — results are identical either way). *)
-val create : ?contour:[ `Auto | `Flat | `Balanced ] -> (int * int) array -> t
+    given (w, h) footprints, in index order. *)
+val create : (int * int) array -> t
 
 (** [create_shelves dims] builds an initial tree that packs like shelf
     (strip) packing: blocks sorted by decreasing height fill rows of
     width about [sqrt (1.15 * total area)] — a strong starting point for
     the annealer. *)
-val create_shelves :
-  ?contour:[ `Auto | `Flat | `Balanced ] -> (int * int) array -> t
+val create_shelves : (int * int) array -> t
 
 val size : t -> int
 

@@ -10,12 +10,6 @@ module Pool = Tqec_util.Pool
 
 type effort = Quick | Normal | Full
 
-let effort_of_string = function
-  | "quick" -> Some Quick
-  | "normal" -> Some Normal
-  | "full" -> Some Full
-  | _ -> None
-
 type strategy = Annealing | Force_directed
 
 type config = {

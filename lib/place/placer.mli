@@ -8,9 +8,6 @@
 
 type effort = Quick | Normal | Full
 
-(** [effort_of_string s] parses ["quick" | "normal" | "full"]. *)
-val effort_of_string : string -> effort option
-
 type strategy =
   | Annealing  (** B*-tree + simulated annealing (the paper's engine) *)
   | Force_directed

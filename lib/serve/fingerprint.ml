@@ -4,9 +4,8 @@ module Icm = Tqec_icm.Icm
    requests share a cache entry iff the pipeline is guaranteed to print
    the same bytes for both.  That means every ICM field participates
    (gate ORDER matters — CNOTs don't commute in general) and every
-   result-affecting knob participates, while [jobs] and [debug] are
-   deliberately excluded: the flow is deterministic in worker count and
-   the debug trace goes to stderr, not the payload. *)
+   result-affecting knob participates — the knob table's key, so a new
+   row cannot be left out. *)
 
 let add_int b i =
   Buffer.add_string b (string_of_int i);
@@ -67,22 +66,6 @@ let icm_bytes (icm : Icm.t) =
   Array.iter (add_int b) icm.Icm.line_of_wire;
   Buffer.contents b
 
-let knob_bytes (k : Protocol.knobs) =
-  let b = Buffer.create 64 in
-  add_str b (Protocol.variant_name k.Protocol.variant);
-  add_str b (Protocol.effort_name k.Protocol.effort);
-  add_int b k.Protocol.seed;
-  add_int b k.Protocol.restarts;
-  (match k.Protocol.early_stop with
-  | None -> Buffer.add_string b "es:none;"
-  | Some f -> Buffer.add_string b (Printf.sprintf "es:%.17g;" f));
-  (match k.Protocol.partition with
-  | None -> Buffer.add_string b "pt:none;"
-  | Some v -> Buffer.add_string b (Printf.sprintf "pt:%d;" v));
-  (match k.Protocol.corridor with
-  | None -> Buffer.add_string b "cc:none;"
-  | Some v -> Buffer.add_string b (Printf.sprintf "cc:%d;" v));
-  Buffer.contents b
-
-let of_icm icm ~knobs =
-  Digest.to_hex (Digest.string (icm_bytes icm ^ "#" ^ knob_bytes knobs))
+let of_icm icm ~config =
+  Digest.to_hex
+    (Digest.string (icm_bytes icm ^ "#" ^ Tqec_compress.Knobs.key config))

@@ -1,12 +1,12 @@
 (** Canonical cache keys for served compression results.
 
-    [of_icm icm ~knobs] hashes a canonical serialization of the full ICM
-    (every field, in order — CNOT order matters, so reordered
-    non-commuting gates fingerprint differently) together with the
-    result-affecting knobs.  [knobs.jobs] and [knobs.debug] are excluded
-    by design: the pipeline is deterministic in worker count, and the
-    debug trace never reaches the result payload — requests differing
-    only there must share a cache entry.  [knobs.verify] is likewise
-    excluded: validation checks the result, it doesn't change it. *)
+    [of_icm icm ~config] hashes a canonical serialization of the full
+    ICM (every field, in order — CNOT order matters, so reordered
+    non-commuting gates fingerprint differently) together with
+    {!Tqec_compress.Knobs.key}, the printed form of every
+    result-affecting knob in [config].  Knobs that cannot change the
+    result bytes — [jobs], [corridor_cache], and the [debug] and
+    [verify] switches — are not in the key, so requests differing only
+    there share a cache entry. *)
 
-val of_icm : Tqec_icm.Icm.t -> knobs:Protocol.knobs -> string
+val of_icm : Tqec_icm.Icm.t -> config:Tqec_compress.Pipeline.config -> string

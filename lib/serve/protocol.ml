@@ -1,4 +1,5 @@
 module Pipeline = Tqec_compress.Pipeline
+module Knobs = Tqec_compress.Knobs
 module Placer = Tqec_place.Placer
 
 (* ------------------------------------------------------------------ *)
@@ -73,21 +74,36 @@ type knobs = {
   verify : bool;
 }
 
-(* Mirrors `tqecc compress` flag defaults, so a request that sets
-   nothing gets the bytes a bare CLI run would print. *)
-let default_knobs =
+let knobs_of_config (c : Pipeline.config) =
   {
-    variant = Pipeline.Full;
-    effort = Placer.Quick;
-    seed = 42;
-    restarts = 1;
-    jobs = None;
-    early_stop = Pipeline.default_config.Pipeline.early_stop_margin;
-    partition = None;
-    corridor = None;
-    debug = false;
-    verify = false;
+    variant = c.Pipeline.variant;
+    effort = c.Pipeline.effort;
+    seed = c.Pipeline.seed;
+    restarts = c.Pipeline.restarts;
+    jobs = c.Pipeline.jobs;
+    early_stop = c.Pipeline.early_stop_margin;
+    partition = c.Pipeline.partition;
+    corridor = c.Pipeline.corridor_cells;
+    debug = c.Pipeline.debug;
+    verify = c.Pipeline.verify = Some true;
   }
+
+let config_of_knobs k =
+  {
+    Knobs.defaults with
+    Pipeline.variant = k.variant;
+    effort = k.effort;
+    seed = k.seed;
+    restarts = k.restarts;
+    jobs = k.jobs;
+    early_stop_margin = k.early_stop;
+    partition = k.partition;
+    corridor_cells = k.corridor;
+    debug = k.debug;
+    verify = Some k.verify;
+  }
+
+let default_knobs = knobs_of_config Knobs.defaults
 
 type request =
   | Compress of { input : input; knobs : knobs }
@@ -118,21 +134,7 @@ type response =
 (* Codec                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let variant_name = function
-  | Pipeline.Full -> "full"
-  | Pipeline.Dual_only -> "dual-only"
-  | Pipeline.Modular_only -> "modular"
-
-let variant_of_name = function
-  | "full" -> Some Pipeline.Full
-  | "dual-only" -> Some Pipeline.Dual_only
-  | "modular" -> Some Pipeline.Modular_only
-  | _ -> None
-
-let effort_name = function
-  | Placer.Quick -> "quick"
-  | Placer.Normal -> "normal"
-  | Placer.Full -> "full"
+let variant_name = Knobs.variant_name
 
 let opt_int = function None -> Json.Null | Some v -> Json.Int v
 let opt_float = function None -> Json.Null | Some v -> Json.Float v
@@ -140,7 +142,7 @@ let opt_float = function None -> Json.Null | Some v -> Json.Float v
 let knobs_fields k =
   [
     ("variant", Json.String (variant_name k.variant));
-    ("effort", Json.String (effort_name k.effort));
+    ("effort", Json.String (Knobs.effort_name k.effort));
     ("seed", Json.Int k.seed);
     ("restarts", Json.Int k.restarts);
     ("jobs", opt_int k.jobs);
@@ -191,45 +193,34 @@ let default_field j key conv ~default what =
   let* v = opt_field j key conv what in
   Ok (Option.value ~default v)
 
+(* A knob field's JSON scalar as the text its knob-table row parses;
+   null is the row's unset spelling, or the default when it has none. *)
+let knob_text (row : Knobs.row) = function
+  | Json.Null -> Ok row.Knobs.unset
+  | Json.String s -> Ok (Some s)
+  | Json.Int i -> Ok (Some (string_of_int i))
+  | Json.Float f -> Ok (Some (Printf.sprintf "%.17g" f))
+  | Json.Bool _ | Json.List _ | Json.Obj _ ->
+      Error "expected a string, a number or null"
+
 let knobs_of_json j =
-  let d = default_knobs in
-  let* variant =
-    default_field j "variant"
-      (fun v -> Option.bind (Json.to_str v) variant_of_name)
-      ~default:d.variant "variant"
+  let knob acc (row : Knobs.row) =
+    let* config = acc in
+    match Option.map (fun f -> (f, Json.member f j)) row.Knobs.wire with
+    | None | Some (_, None) -> Ok config
+    | Some (field, Some v) ->
+        Result.map_error
+          (Printf.sprintf "malformed %S field: %s" field)
+          (Result.bind (knob_text row v) (function
+            | None -> Ok config
+            | Some text -> Knobs.apply row text config))
   in
-  let* effort =
-    default_field j "effort"
-      (fun v -> Option.bind (Json.to_str v) Placer.effort_of_string)
-      ~default:d.effort "effort"
+  let* config =
+    List.fold_left knob (Ok (config_of_knobs default_knobs)) Knobs.rows
   in
-  let* seed = default_field j "seed" Json.to_int ~default:d.seed "seed" in
-  let* restarts =
-    default_field j "restarts" Json.to_int ~default:d.restarts "restarts"
-  in
-  let* jobs = opt_field j "jobs" Json.to_int "jobs" in
-  (* [early_stop] distinguishes absent (CLI default margin) from an
-     explicit null (margin disabled), so it cannot go through
-     [opt_field]. *)
-  let* early_stop =
-    match Json.member "early_stop" j with
-    | None -> Ok d.early_stop
-    | Some Json.Null -> Ok None
-    | Some v -> (
-        match Json.to_float v with
-        | Some f -> Ok (Some f)
-        | None -> Error "malformed \"early_stop\" field")
-  in
-  let* partition = opt_field j "partition" Json.to_int "partition" in
-  let* corridor = opt_field j "corridor" Json.to_int "corridor" in
   let* debug = default_field j "debug" Json.to_bool ~default:false "debug" in
   let* verify = default_field j "verify" Json.to_bool ~default:false "verify" in
-  if restarts < 1 then Error "restarts must be >= 1"
-  else if seed < 0 then Error "seed must be non-negative"
-  else
-    Ok
-      { variant; effort; seed; restarts; jobs; early_stop; partition;
-        corridor; debug; verify }
+  Ok { (knobs_of_config config) with debug; verify }
 
 let input_of_json j =
   match (Json.member "qct" j, Json.member "benchmark" j) with

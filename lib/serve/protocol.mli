@@ -54,9 +54,18 @@ type knobs = {
           answering; a violation becomes a structured error response *)
 }
 
-(** Mirrors the [tqecc compress] flag defaults, so a request that sets
-    nothing receives exactly the bytes a bare CLI run prints. *)
+(** {!Tqec_compress.Knobs.defaults}: the [tqecc compress] flag defaults,
+    so a request that sets nothing receives exactly the bytes a bare CLI
+    run prints. *)
 val default_knobs : knobs
+
+(** The pipeline configuration a request runs with: {!Tqec_compress.Knobs.defaults}
+    with the request's knobs, validation forced on or off by [verify]. *)
+val config_of_knobs : knobs -> Tqec_compress.Pipeline.config
+
+(** The request carrying [config]'s wire knobs ([verify] when
+    [config.verify = Some true]). *)
+val knobs_of_config : Tqec_compress.Pipeline.config -> knobs
 
 type request =
   | Compress of { input : input; knobs : knobs }
@@ -97,9 +106,6 @@ val decode_request : string -> (request, string) result
 val encode_response : response -> string
 val decode_response : string -> (response, string) result
 
-(** [variant_name] / [variant_of_name] use the CLI spellings
-    ["full" | "dual-only" | "modular"]. *)
-
+(** [variant_name] is {!Tqec_compress.Knobs.variant_name}: the CLI
+    spellings ["full" | "dual-only" | "modular"]. *)
 val variant_name : Tqec_compress.Pipeline.variant -> string
-val variant_of_name : string -> Tqec_compress.Pipeline.variant option
-val effort_name : Tqec_place.Placer.effort -> string

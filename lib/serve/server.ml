@@ -121,21 +121,9 @@ let pipeline_config st (k : Protocol.knobs) =
     | Some j, None -> Some (max 1 j)
     | Some j, Some m -> Some (max 1 (min j m))
   in
-  {
-    Pipeline.default_config with
-    variant = k.Protocol.variant;
-    effort = k.Protocol.effort;
-    seed = k.Protocol.seed;
-    restarts = k.Protocol.restarts;
-    jobs;
-    early_stop_margin = k.Protocol.early_stop;
-    partition = k.Protocol.partition;
-    corridor_cells = k.Protocol.corridor;
-    debug = k.Protocol.debug;
-    (* explicit per request — a daemon never consults its own
-       environment for request-scoped behavior *)
-    verify = Some k.Protocol.verify;
-  }
+  (* verify is explicit per request — a daemon never consults its own
+     environment for request-scoped behavior *)
+  { (Protocol.config_of_knobs k) with Pipeline.jobs }
 
 let stats_snapshot st =
   {
@@ -175,7 +163,8 @@ let run_compress st fd input knobs =
         else Tqec_circuit.Clifford_t.decompose circuit
       in
       let icm = Tqec_icm.Decompose.run circuit in
-      let key = Fingerprint.of_icm icm ~knobs in
+      let config = pipeline_config st knobs in
+      let key = Fingerprint.of_icm icm ~config in
       let admission =
         locked st (fun () ->
             match Cache.find st.cache key with
@@ -228,10 +217,7 @@ let run_compress st fd input knobs =
                         [Pipeline.run_icm] raises the structured
                         [Stage_failure] that the handler below maps to a
                         Failed response *)
-                     ignore
-                       (Pipeline.run_icm
-                          ~config:(pipeline_config st knobs)
-                          cyclic_icm)
+                     ignore (Pipeline.run_icm ~config cyclic_icm)
                  | Some stage ->
                      (* planted stage failure: proves the daemon maps a
                         pipeline exception to a structured error response
@@ -244,8 +230,7 @@ let run_compress st fd input knobs =
                    ignore
                      (send_opt fd (Protocol.Progress { stage; seconds }))
                  in
-                 Pipeline.run_icm ~config:(pipeline_config st knobs)
-                   ~on_stage icm)
+                 Pipeline.run_icm ~config ~on_stage icm)
            with
           | r ->
               let payload = Pipeline.summary r in

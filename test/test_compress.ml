@@ -4,6 +4,8 @@
 open Tqec_circuit
 open Tqec_compress
 
+let violations r = Tqec_verify.Violation.to_strings (Pipeline.verify r)
+
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -23,7 +25,7 @@ let test_pipeline_three_cnot_all_variants () =
       let r = Pipeline.run_icm ~config:(quick variant) icm in
       check Alcotest.bool "routed" true r.Pipeline.routing.Tqec_route.Pathfinder.success;
       check Alcotest.bool "volume positive" true (r.Pipeline.volume > 0);
-      check Alcotest.(list string) "checks clean" [] (Pipeline.check r))
+      check Alcotest.(list string) "checks clean" [] (violations r))
     [ Pipeline.Full; Pipeline.Dual_only; Pipeline.Modular_only ]
 
 (* The pipeline's acyclicity gate: a cyclic constraint DAG must surface
@@ -99,7 +101,7 @@ let prop_pipeline_sound_on_random =
       let c = Generator.random_clifford_t ~seed ~n_qubits:3 ~n_gates:15 in
       let r = Pipeline.run ~config:(quick Pipeline.Full) c in
       r.Pipeline.routing.Tqec_route.Pathfinder.success
-      && Pipeline.check r = [])
+      && violations r = [])
 
 let prop_full_never_worse_than_modular =
   QCheck.Test.make ~name:"bridging never hurts vs modular placement"
@@ -242,16 +244,10 @@ let test_fig1_series_monotone () =
 let test_report_rendering () =
   let config =
     {
-      Experiments.effort = Tqec_place.Placer.Quick;
+      Experiments.pipeline = { Knobs.defaults with jobs = Some 1 };
       scale = 16;
       auto_scale = false;
-      seed = 42;
       benchmarks = [ "4gt10-v1_81" ];
-      restarts = 1;
-      jobs = Some 1;
-      early_stop_margin = Some 0.05;
-      partition = None;
-      debug = false;
     }
   in
   let rows = Experiments.run_all config in
@@ -273,23 +269,17 @@ let test_midsize_benchmark_soundness () =
   let icm = Tqec_icm.Decompose.run (Clifford_t.decompose c) in
   let r = Pipeline.run_icm ~config:(quick Pipeline.Full) icm in
   check Alcotest.bool "routed" true r.Pipeline.routing.Tqec_route.Pathfinder.success;
-  check Alcotest.(list string) "pipeline checks" [] (Pipeline.check r);
+  check Alcotest.(list string) "pipeline checks" [] (violations r);
   check Alcotest.int "emit geometry issues" 0 (List.length (Emit.check r));
   check Alcotest.bool "emit volume consistent" true (Emit.volume_consistent r)
 
 let test_summary_mentions_paper () =
   let config =
     {
-      Experiments.effort = Tqec_place.Placer.Quick;
+      Experiments.pipeline = { Knobs.defaults with jobs = Some 1 };
       scale = 16;
       auto_scale = false;
-      seed = 42;
       benchmarks = [ "4gt10-v1_81" ];
-      restarts = 1;
-      jobs = Some 1;
-      early_stop_margin = Some 0.05;
-      partition = None;
-      debug = false;
     }
   in
   let rows = Experiments.run_all config in
@@ -303,8 +293,123 @@ let test_summary_mentions_paper () =
   check Alcotest.bool "mentions reduction" true (contains "47.4")
 
 let test_config_from_env_defaults () =
-  let c = Experiments.config_from_env () in
-  check Alcotest.int "eight benchmarks" 8 (List.length c.Experiments.benchmarks)
+  match Experiments.config_from_env () with
+  | Ok c ->
+      check Alcotest.int "eight benchmarks" 8
+        (List.length c.Experiments.benchmarks)
+  | Error m -> Alcotest.fail m
+
+(* One validator per knob: a variable its row rejects is an error naming
+   the variable, never a silent fallback.  The stdlib has no unsetenv,
+   so each variable is restored to its row's printed default, which the
+   round-trip property below makes equivalent to unset. *)
+let test_config_from_env_rejects () =
+  List.iter
+    (fun (var, bad) ->
+      let previous = Sys.getenv_opt var in
+      let default =
+        List.find_map
+          (fun (r : Knobs.row) ->
+            if r.Knobs.env = Some var then Some (r.Knobs.print Knobs.defaults)
+            else None)
+          Knobs.rows
+      in
+      Unix.putenv var bad;
+      let result = Experiments.config_from_env () in
+      Unix.putenv var
+        (Option.value previous ~default:(Option.value default ~default:""));
+      match result with
+      | Ok _ -> Alcotest.failf "%s=%s accepted" var bad
+      | Error m ->
+          check Alcotest.bool (var ^ " named") true
+            (String.length m >= String.length var
+            && String.sub m 0 (String.length var) = var))
+    [
+      ("TQEC_PARTITION", "0");
+      ("TQEC_EARLY_STOP", "-0.5");
+      ("TQEC_RESTARTS", "0");
+      ("TQEC_SEED", "-1");
+      ("TQEC_EFFORT", "fast");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Knob table                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Random values for every knob the table covers. *)
+let gen_knobs =
+  let open QCheck.Gen in
+  let opt g = option g in
+  let* variant = oneofl Pipeline.[ Full; Dual_only; Modular_only ] in
+  let* effort = oneofl Tqec_place.Placer.[ Quick; Normal; Full ] in
+  let* seed = int_bound 1_000_000 in
+  let* restarts = int_range 1 8 in
+  let* jobs = opt (int_range 1 64) in
+  let* early_stop_margin =
+    opt (oneof [ float_bound_inclusive 1.; float_range 0. 1e12 ])
+  in
+  let* partition = opt (int_range 1 10_000) in
+  let* corridor_cells = opt (int_range 1 1_000_000) in
+  let* corridor_cache = bool in
+  let+ sa_moves_cap = opt (int_range 1 1_000_000) in
+  {
+    Knobs.defaults with
+    Pipeline.variant;
+    effort;
+    seed;
+    restarts;
+    jobs;
+    early_stop_margin;
+    partition;
+    corridor_cells;
+    corridor_cache;
+    sa_moves_cap;
+  }
+
+let arb_knobs =
+  QCheck.make gen_knobs ~print:(fun c ->
+      String.concat " "
+        (List.map
+           (fun (r : Knobs.row) -> r.Knobs.flag ^ "=" ^ r.Knobs.print c)
+           Knobs.rows))
+
+let reapply base config =
+  List.fold_left
+    (fun acc (r : Knobs.row) ->
+      Result.bind acc (Knobs.apply r (r.Knobs.print config)))
+    (Ok base) Knobs.rows
+
+(* Every row's printed value parses back to the same config, and the
+   rows together carry a config's every knob onto the defaults. *)
+let test_knobs_roundtrip_defaults () =
+  List.iter
+    (fun (r : Knobs.row) ->
+      check Alcotest.bool r.Knobs.flag true
+        (Knobs.apply r (r.Knobs.print Knobs.defaults) Knobs.defaults
+        = Ok Knobs.defaults))
+    Knobs.rows
+
+let prop_knobs_roundtrip =
+  QCheck.Test.make ~name:"knob rows round-trip their printed values"
+    ~count:300 arb_knobs (fun c ->
+      List.for_all
+        (fun (r : Knobs.row) -> Knobs.apply r (r.Knobs.print c) c = Ok c)
+        Knobs.rows
+      && reapply Knobs.defaults c = Ok c)
+
+(* The serve cache key: changing one knob separates it exactly when the
+   knob's row affects the result. *)
+let prop_knobs_key =
+  QCheck.Test.make ~name:"cache key = result-affecting rows" ~count:300
+    (QCheck.pair arb_knobs arb_knobs) (fun (a, b) ->
+      List.for_all
+        (fun (r : Knobs.row) ->
+          match Knobs.apply r (r.Knobs.print b) a with
+          | Error _ -> false
+          | Ok a' ->
+              let changed = r.Knobs.print a <> r.Knobs.print b in
+              (Knobs.key a <> Knobs.key a') = (r.Knobs.affects_result && changed))
+        Knobs.rows)
 
 let suites =
   [
@@ -343,5 +448,14 @@ let suites =
           test_midsize_benchmark_soundness;
         Alcotest.test_case "summary content" `Slow test_summary_mentions_paper;
         Alcotest.test_case "env config" `Quick test_config_from_env_defaults;
+        Alcotest.test_case "env config rejects" `Quick
+          test_config_from_env_rejects;
+      ] );
+    ( "compress.knobs",
+      [
+        Alcotest.test_case "defaults round-trip" `Quick
+          test_knobs_roundtrip_defaults;
+        qtest prop_knobs_roundtrip;
+        qtest prop_knobs_key;
       ] );
   ]

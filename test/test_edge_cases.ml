@@ -5,6 +5,8 @@ open Tqec_circuit
 open Tqec_icm
 open Tqec_compress
 
+let violations r = Tqec_verify.Violation.to_strings (Pipeline.verify r)
+
 let check = Alcotest.check
 let vec = Vec3.make
 
@@ -20,7 +22,7 @@ let test_single_cnot_pipeline () =
   in
   let r = Pipeline.run ~config:quick c in
   check Alcotest.bool "routes" true r.Pipeline.routing.Tqec_route.Pathfinder.success;
-  check Alcotest.(list string) "sound" [] (Pipeline.check r)
+  check Alcotest.(list string) "sound" [] (violations r)
 
 let test_gateless_wire_pipeline () =
   (* wire 2 never used: flows through without canonical rails *)
@@ -31,7 +33,7 @@ let test_gateless_wire_pipeline () =
   let icm = Decompose.run c in
   check Alcotest.int "rails skip unused" 2 (Tqec_geom.Canonical.used_rows icm);
   let r = Pipeline.run_icm ~config:quick icm in
-  check Alcotest.bool "still sound" true (Pipeline.check r = [])
+  check Alcotest.bool "still sound" true (violations r = [])
 
 let test_pauli_only_circuit () =
   (* no CNOTs at all: zero canonical volume, no nets to route *)
@@ -43,7 +45,7 @@ let test_pauli_only_circuit () =
 let test_t_only_circuit_pipeline () =
   let c = Circuit.make ~name:"t" ~n_qubits:1 [ Gate.T 0 ] in
   let r = Pipeline.run ~config:quick c in
-  check Alcotest.bool "sound" true (Pipeline.check r = []);
+  check Alcotest.bool "sound" true (violations r = []);
   (* 3 distillation boxes placed: volume at least their footprints *)
   check Alcotest.bool "volume covers boxes" true (r.Pipeline.volume >= 192 + 18 + 18)
 
@@ -53,7 +55,7 @@ let test_deep_t_chain () =
     Circuit.make ~name:"tchain" ~n_qubits:1 (List.init 6 (fun _ -> Gate.T 0))
   in
   let r = Pipeline.run ~config:quick c in
-  check Alcotest.bool "sound" true (Pipeline.check r = []);
+  check Alcotest.bool "sound" true (violations r = []);
   let sm_nodes =
     Array.to_list r.Pipeline.placement.Tqec_place.Placer.sm.Tqec_place.Super_module.nodes
     |> List.filter (fun nd ->
@@ -84,7 +86,7 @@ let test_empty_circuit_pipeline () =
         (Array.length r.Pipeline.placement.Tqec_place.Placer.node_pos);
       check Alcotest.bool "routes (vacuous)" true
         r.Pipeline.routing.Tqec_route.Pathfinder.success;
-      check Alcotest.(list string) "sound" [] (Pipeline.check r))
+      check Alcotest.(list string) "sound" [] (violations r))
     [ 1; 3 ]
 
 let test_pauli_only_pipeline_full_flow () =
@@ -92,14 +94,14 @@ let test_pauli_only_pipeline_full_flow () =
   let c = Circuit.make ~name:"paulis" ~n_qubits:2 [ Gate.X 0; Gate.Z 1 ] in
   let r = Pipeline.run ~config:quick c in
   check Alcotest.int "volume 0" 0 r.Pipeline.volume;
-  check Alcotest.(list string) "sound" [] (Pipeline.check r)
+  check Alcotest.(list string) "sound" [] (violations r)
 
 let test_h_only_pipeline () =
   (* H only flips the interpretation frame: still module-free *)
   let c = Circuit.make ~name:"hs" ~n_qubits:2 [ Gate.H 0; Gate.H 0; Gate.H 1 ] in
   let r = Pipeline.run ~config:quick c in
   check Alcotest.int "volume 0" 0 r.Pipeline.volume;
-  check Alcotest.(list string) "sound" [] (Pipeline.check r)
+  check Alcotest.(list string) "sound" [] (violations r)
 
 let test_empty_circuit_partitioned () =
   (* the divide-and-conquer path must also survive zero nodes *)
@@ -107,7 +109,7 @@ let test_empty_circuit_partitioned () =
   let config = { quick with Pipeline.partition = Some 1 } in
   let r = Pipeline.run ~config c in
   check Alcotest.int "volume 0" 0 r.Pipeline.volume;
-  check Alcotest.(list string) "sound" [] (Pipeline.check r)
+  check Alcotest.(list string) "sound" [] (violations r)
 
 let test_partition_zero_nodes () =
   check Alcotest.int "empty partition" 0

@@ -112,7 +112,8 @@ let test_flag_vector_replayable () =
     }
   in
   check Alcotest.string "flags"
-    "--seed 9 -r 2 -j 3 --partition 4 --corridor 64"
+    "--seed 9 --restarts 2 --jobs 3 --partition 4 --corridor 64 \
+     --sa-moves-cap 3000"
     (Case.flag_vector case);
   let printed = Case.print case in
   check Alcotest.bool "embeds qct" true
@@ -122,6 +123,35 @@ let test_flag_vector_replayable () =
     &&
     let c = Qct.parse_string ~name:"f" (Qct.to_string case.Case.circuit) in
     c.Circuit.gates = [ Gate.T 0 ])
+
+(* The replay line is exact: its flags, parsed back through the knob
+   table's rows onto the CLI defaults (what `tqecc check` does with
+   them), give the very config the fuzz case ran with. *)
+let prop_flag_vector_replays_config =
+  let module Knobs = Tqec_compress.Knobs in
+  let parse words =
+    let rec go acc = function
+      | flag :: value :: rest -> (
+          let row =
+            List.find_opt
+              (fun (r : Knobs.row) -> "--" ^ r.Knobs.flag = flag)
+              Knobs.rows
+          in
+          match row with
+          | Some r -> go (Result.bind acc (Knobs.apply r value)) rest
+          | None -> Error ("unknown flag " ^ flag))
+      | [] -> acc
+      | [ w ] -> Error ("dangling " ^ w)
+    in
+    go (Ok Knobs.defaults) words
+  in
+  QCheck2.Test.make ~name:"flag vector parses back to config_of" ~count:200
+    ~print:Case.print Case.gen (fun case ->
+      let words =
+        String.split_on_char ' ' (Case.flag_vector case)
+        |> List.filter (( <> ) "")
+      in
+      parse words = Ok (Case.config_of case))
 
 let suites =
   [
@@ -143,5 +173,7 @@ let suites =
     ( "fuzz.reproducer",
       [
         Alcotest.test_case "flag vector" `Quick test_flag_vector_replayable;
+        QCheck_alcotest.to_alcotest ~rand:(rand ())
+          prop_flag_vector_replays_config;
       ] );
   ]

@@ -218,100 +218,62 @@ let assert_pack_matches_reference t xs ys =
 
 (* The tentpole property: over >= 1000 random move / pack / undo / pack
    steps, the incremental repack (prefix reuse + contour restart) stays
-   bit-identical to a from-scratch brute-force pack — for both contour
-   back-ends.  Dims are drawn from a small set so block x-intervals
-   frequently abut existing breakpoints exactly. *)
+   bit-identical to a from-scratch brute-force pack.  Dims are drawn
+   from a small set so block x-intervals frequently abut existing
+   breakpoints exactly. *)
 let prop_pack_incremental_matches_reference =
   QCheck.Test.make
     ~name:"incremental pack = reference over 1000 move/undo steps"
     ~count:4
     QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
     (fun (n, seed) ->
-      List.for_all
-        (fun mode ->
-          let rng = Rng.create seed in
-          let dims =
-            Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
-          in
-          let t = Bstar_tree.create ~contour:mode dims in
-          let xs = Array.make n 0 and ys = Array.make n 0 in
-          let ok = ref (assert_pack_matches_reference t xs ys) in
-          for _ = 1 to 500 do
-            let undo =
-              match Rng.int rng 3 with
-              | 0 ->
-                  let b = Rng.int rng n in
-                  Bstar_tree.rotate t b;
-                  fun () -> Bstar_tree.rotate t b
-              | 1 ->
-                  let a = Rng.int rng n and b = Rng.int rng n in
-                  Bstar_tree.swap_blocks t a b;
-                  fun () -> Bstar_tree.swap_blocks t a b
-              | _ ->
-                  let snap = Bstar_tree.snapshot t in
-                  Bstar_tree.move_block t ~rng (Rng.int rng n);
-                  fun () -> Bstar_tree.restore t snap
-            in
-            if not (assert_pack_matches_reference t xs ys) then ok := false;
-            if Rng.bool rng then begin
-              (* reject: the cache must survive the restore *)
-              undo ();
-              if not (assert_pack_matches_reference t xs ys) then ok := false
-            end;
-            if Bstar_tree.check t <> [] then ok := false
-          done;
-          !ok)
-        [ `Flat; `Balanced ])
-
-(* Same move trajectory through both contour back-ends: identical
-   geometry at every step (the mode only changes constants, never
-   results). *)
-let prop_pack_contour_modes_agree =
-  QCheck.Test.make ~name:"flat and balanced contours pack identically"
-    ~count:6
-    QCheck.(pair (int_range 2 20) (int_range 1 1_000_000))
-    (fun (n, seed) ->
+      let rng = Rng.create seed in
       let dims =
-        Array.init n (fun i -> (1 + ((i * 5) mod 4), 1 + ((i * 3) mod 5)))
+        Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
       in
-      let tf = Bstar_tree.create ~contour:`Flat dims in
-      let tb = Bstar_tree.create ~contour:`Balanced dims in
-      let rng_f = Rng.create seed and rng_b = Rng.create seed in
-      let xs_f = Array.make n 0 and ys_f = Array.make n 0 in
-      let xs_b = Array.make n 0 and ys_b = Array.make n 0 in
-      let ok = ref true in
-      let apply t rng =
-        match Rng.int rng 3 with
-        | 0 -> Bstar_tree.rotate t (Rng.int rng n)
-        | 1 -> Bstar_tree.swap_blocks t (Rng.int rng n) (Rng.int rng n)
-        | _ -> Bstar_tree.move_block t ~rng (Rng.int rng n)
-      in
-      for _ = 1 to 200 do
-        apply tf rng_f;
-        apply tb rng_b;
-        let wh_f = Bstar_tree.pack_xy tf xs_f ys_f in
-        let wh_b = Bstar_tree.pack_xy tb xs_b ys_b in
-        if wh_f <> wh_b || xs_f <> xs_b || ys_f <> ys_b then ok := false
+      let t = Bstar_tree.create dims in
+      let xs = Array.make n 0 and ys = Array.make n 0 in
+      let ok = ref (assert_pack_matches_reference t xs ys) in
+      for _ = 1 to 500 do
+        let undo =
+          match Rng.int rng 3 with
+          | 0 ->
+              let b = Rng.int rng n in
+              Bstar_tree.rotate t b;
+              fun () -> Bstar_tree.rotate t b
+          | 1 ->
+              let a = Rng.int rng n and b = Rng.int rng n in
+              Bstar_tree.swap_blocks t a b;
+              fun () -> Bstar_tree.swap_blocks t a b
+          | _ ->
+              let snap = Bstar_tree.snapshot t in
+              Bstar_tree.move_block t ~rng (Rng.int rng n);
+              fun () -> Bstar_tree.restore t snap
+        in
+        if not (assert_pack_matches_reference t xs ys) then ok := false;
+        if Rng.bool rng then begin
+          (* reject: the cache must survive the restore *)
+          undo ();
+          if not (assert_pack_matches_reference t xs ys) then ok := false
+        end;
+        if Bstar_tree.check t <> [] then ok := false
       done;
       !ok)
 
 (* Exact-abutment regression: uniform widths make every placement's
    x-interval land exactly on existing breakpoints. *)
 let test_pack_abutting_breakpoints () =
-  List.iter
-    (fun mode ->
-      let dims = Array.make 9 (2, 2) in
-      let t = Bstar_tree.create ~contour:mode dims in
-      let xs = Array.make 9 0 and ys = Array.make 9 0 in
-      check Alcotest.bool "uniform grid matches reference" true
-        (assert_pack_matches_reference t xs ys);
-      let rng = Rng.create 77 in
-      for _ = 1 to 50 do
-        Bstar_tree.move_block t ~rng (Rng.int rng 9);
-        check Alcotest.bool "still matches after move" true
-          (assert_pack_matches_reference t xs ys)
-      done)
-    [ `Flat; `Balanced ]
+  let dims = Array.make 9 (2, 2) in
+  let t = Bstar_tree.create dims in
+  let xs = Array.make 9 0 and ys = Array.make 9 0 in
+  check Alcotest.bool "uniform grid matches reference" true
+    (assert_pack_matches_reference t xs ys);
+  let rng = Rng.create 77 in
+  for _ = 1 to 50 do
+    Bstar_tree.move_block t ~rng (Rng.int rng 9);
+    check Alcotest.bool "still matches after move" true
+      (assert_pack_matches_reference t xs ys)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Hpwl_cache                                                          *)
@@ -858,7 +820,6 @@ let suites =
         qtest prop_bstar_moves_preserve_invariants;
         qtest prop_bstar_pack_compact_bottom_left;
         qtest prop_pack_incremental_matches_reference;
-        qtest prop_pack_contour_modes_agree;
         Alcotest.test_case "abutting breakpoints" `Quick
           test_pack_abutting_breakpoints;
       ] );

@@ -873,7 +873,7 @@ let test_pipeline_route_jobs_invariant name factor () =
   let serial = run_suite_pipeline name factor (Some 1) in
   let parallel = run_suite_pipeline name factor (Some 4) in
   check Alcotest.(list string) "parallel pipeline sound" []
-    (Pipeline.check parallel);
+    (Tqec_verify.Violation.to_strings (Pipeline.verify parallel));
   check Alcotest.bool "identical routing" true
     (serial.Pipeline.routing = parallel.Pipeline.routing);
   check Alcotest.int "identical volume" serial.Pipeline.volume

@@ -181,6 +181,12 @@ let test_codec_rejects () =
   bad "{\"op\":\"compress\",\"qct\":\"qubits 1\\n\",\"benchmark\":\"rd84_142\"}";
   bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"scale\":0}";
   bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"restarts\":0}";
+  (* each knob has one validator, its knob-table row: values the CLI
+     rejects are decode errors, not silently clamped or reinterpreted *)
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"partition\":0}";
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"corridor\":-5}";
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"early_stop\":-0.5}";
+  bad "{\"op\":\"compress\",\"benchmark\":\"rd84_142\",\"jobs\":0}";
   (* defaults fill everything the request leaves out *)
   match Protocol.decode_request "{\"op\":\"compress\",\"benchmark\":\"x\"}" with
   | Ok (Protocol.Compress { knobs; _ }) ->
@@ -194,7 +200,7 @@ let icm_of text =
   Tqec_icm.Decompose.run (Tqec_circuit.Qct.parse_string ~name:"fp" text)
 
 let fp ?(knobs = Protocol.default_knobs) text =
-  Fingerprint.of_icm (icm_of text) ~knobs
+  Fingerprint.of_icm (icm_of text) ~config:(Protocol.config_of_knobs knobs)
 
 let test_fingerprint_input () =
   let a = "qubits 3\ncnot 0 1\ncnot 1 2\n" in

@@ -257,43 +257,6 @@ let prop_pqueue_sorts =
       drain min_int)
 
 (* ------------------------------------------------------------------ *)
-(* Bitgrid                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_bitgrid_set_get () =
-  let g = Bitgrid.create (Box3.make (vec 0 0 0) (vec 4 4 4)) in
-  check Alcotest.bool "initially false" false (Bitgrid.get g (vec 2 2 2));
-  Bitgrid.set g (vec 2 2 2) true;
-  check Alcotest.bool "set true" true (Bitgrid.get g (vec 2 2 2));
-  check Alcotest.int "count" 1 (Bitgrid.count g);
-  Bitgrid.set g (vec 2 2 2) false;
-  check Alcotest.int "count after unset" 0 (Bitgrid.count g)
-
-let test_bitgrid_bounds () =
-  let g = Bitgrid.create (Box3.make (vec 1 1 1) (vec 3 3 3)) in
-  check Alcotest.bool "oob get false" false (Bitgrid.get g (vec 0 0 0));
-  Alcotest.check_raises "oob set" (Invalid_argument "Bitgrid.set: out of bounds")
-    (fun () -> Bitgrid.set g (vec 0 0 0) true)
-
-let test_bitgrid_fill () =
-  let g = Bitgrid.create (Box3.make (vec 0 0 0) (vec 9 9 9)) in
-  Bitgrid.fill g (Box3.make (vec 0 0 0) (vec 2 2 2)) true;
-  check Alcotest.int "filled 27" 27 (Bitgrid.count g);
-  (* Clipped fill *)
-  Bitgrid.fill g (Box3.make (vec 8 8 8) (vec 20 20 20)) true;
-  check Alcotest.int "clipped fill" (27 + 8) (Bitgrid.count g);
-  Bitgrid.clear g;
-  check Alcotest.int "clear" 0 (Bitgrid.count g)
-
-let prop_bitgrid_roundtrip =
-  QCheck.Test.make ~name:"bitgrid set/get roundtrip" ~count:100
-    QCheck.(list (triple (int_bound 7) (int_bound 7) (int_bound 7)))
-    (fun cells ->
-      let g = Bitgrid.create (Box3.make (vec 0 0 0) (vec 7 7 7)) in
-      List.iter (fun (x, y, z) -> Bitgrid.set g (vec x y z) true) cells;
-      List.for_all (fun (x, y, z) -> Bitgrid.get g (vec x y z)) cells)
-
-(* ------------------------------------------------------------------ *)
 (* Veca                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -646,13 +609,6 @@ let suites =
         Alcotest.test_case "FIFO ties" `Quick test_pqueue_fifo_ties;
         Alcotest.test_case "peek/clear" `Quick test_pqueue_peek_clear;
         qtest prop_pqueue_sorts;
-      ] );
-    ( "util.bitgrid",
-      [
-        Alcotest.test_case "set/get" `Quick test_bitgrid_set_get;
-        Alcotest.test_case "bounds" `Quick test_bitgrid_bounds;
-        Alcotest.test_case "fill/clear" `Quick test_bitgrid_fill;
-        qtest prop_bitgrid_roundtrip;
       ] );
     ( "util.veca",
       [

@@ -76,10 +76,6 @@ let test_routing_only_skips_emission () =
   check Alcotest.bool "only routing checked" true
     (report.V.checked = [ V.Routing ])
 
-let test_check_alias () =
-  check Alcotest.(list string) "deprecated alias empty on sound runs" []
-    (Pipeline.check (run_three ()))
-
 (* ------------------------------------------------------------------ *)
 (* Planted faults, one per stage boundary                              *)
 (* ------------------------------------------------------------------ *)
@@ -308,7 +304,6 @@ let suites =
         Alcotest.test_case "stage scoping" `Quick test_stage_scoping;
         Alcotest.test_case "routing only" `Quick
           test_routing_only_skips_emission;
-        Alcotest.test_case "check alias" `Quick test_check_alias;
       ] );
     ( "verify.mutations",
       [
