@@ -7,7 +7,8 @@
    result with [Pipeline.verify] — placement overlap, routing
    connectivity/pin coverage, obstacle and bounds legality, capacity and
    overuse accounting — and finally cross-checks the router's
-   determinism by re-routing under a different worker count.
+   determinism by re-routing under a different worker count: routes
+   and the A* work counters (heap pops and pushes) must both match.
 
    Environment:
      TQEC_STRESS_BENCHMARKS = comma-separated suite names
@@ -47,36 +48,49 @@ let run_one name =
       false
   | Some entry ->
       let circuit = Suite.scaled ~factor:scale entry in
+      (* the result and the run's A* heap traffic *)
       let run jobs =
-        Pipeline.run
-          ~config:
-            {
-              Pipeline.default_config with
-              effort = Tqec_place.Placer.Quick;
-              seed;
-              jobs;
-            }
-          circuit
+        let module Counters = Tqec_route.Counters in
+        Counters.reset ();
+        let r =
+          Pipeline.run
+            ~config:
+              {
+                Pipeline.default_config with
+                effort = Tqec_place.Placer.Quick;
+                seed;
+                jobs;
+              }
+            circuit
+        in
+        let s = Counters.stats () in
+        (r, (s.Counters.astar_pops, s.Counters.astar_pushes))
       in
-      let r = run (Some 1) in
+      let r, (pops, pushes) = run (Some 1) in
       let issues = Tqec_verify.Violation.to_strings (Pipeline.verify r) in
       let routed = r.Pipeline.routing.Pathfinder.success in
-      let deterministic =
-        (run (Some 4)).Pipeline.routing = r.Pipeline.routing
-      in
+      let r4, work4 = run (Some 4) in
+      let deterministic = r4.Pipeline.routing = r.Pipeline.routing in
+      let work_invariant = work4 = (pops, pushes) in
       Printf.printf
         "[route-stress] %-18s volume=%-9d nets-routed=%b iterations=%d \
-         overused=%d validator-errors=%d jobs-invariant=%b\n%!"
+         overused=%d validator-errors=%d jobs-invariant=%b astar-pops=%d \
+         astar-pushes=%d work-invariant=%b\n%!"
         (circuit.Tqec_circuit.Circuit.name)
         r.Pipeline.volume routed
         r.Pipeline.routing.Pathfinder.iterations_used
         r.Pipeline.routing.Pathfinder.overused_after (List.length issues)
-        deterministic;
+        deterministic pops pushes work_invariant;
       List.iter (fun e -> Printf.eprintf "[route-stress]   error: %s\n%!" e) issues;
       if not deterministic then
         Printf.eprintf
           "[route-stress]   error: routing differs between jobs=1 and jobs=4\n%!";
-      issues = [] && routed && deterministic
+      if not work_invariant then
+        Printf.eprintf
+          "[route-stress]   error: A* pops/pushes %d/%d at jobs=1 but %d/%d at \
+           jobs=4\n%!"
+          pops pushes (fst work4) (snd work4);
+      issues = [] && routed && deterministic && work_invariant
 
 (* Sparse-substrate fixture: a routing box far larger than the occupied
    skeleton — the tentpole's asymptotic regime.  A 96x96x64 substrate

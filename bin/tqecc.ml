@@ -165,12 +165,14 @@ let print_timings (r : Pipeline.t) =
   let rc = Tqec_route.Counters.stats () in
   Format.printf
     "router: corridor-cache hits=%d misses=%d stale=%d searches \
-     coarse=%d fine=%d flat=%d fallbacks=%d scratch-grows=%d@."
+     coarse=%d fine=%d flat=%d fallbacks=%d scratch-grows=%d astar-pops=%d \
+     astar-pushes=%d@."
     rc.Tqec_route.Counters.cache_hits rc.Tqec_route.Counters.cache_misses
     rc.Tqec_route.Counters.cache_stale rc.Tqec_route.Counters.coarse_searches
     rc.Tqec_route.Counters.fine_searches rc.Tqec_route.Counters.flat_searches
     rc.Tqec_route.Counters.flat_fallbacks
-    rc.Tqec_route.Counters.scratch_grows
+    rc.Tqec_route.Counters.scratch_grows rc.Tqec_route.Counters.astar_pops
+    rc.Tqec_route.Counters.astar_pushes
 
 let porcelain_arg =
   let doc =

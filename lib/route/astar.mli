@@ -23,7 +23,7 @@ val create_scratch : unit -> scratch
     [avoid_used], cells already at capacity are treated as blocked, so a
     found path can never create overuse (the cleanup mode of the
     negotiation loop).  [exclude] lists cells priced as if their usage
-    were one lower ({!Grid.enter_cost_d} with [dusage = -1]) — the
+    were one lower ({!Grid.probe} with [dusage = -1]) — the
     searching net's own current route, so a shared read-only view costs
     a re-route exactly like ripping the net up first; it biases cost
     only and does not interact with the [avoid_used] passability test

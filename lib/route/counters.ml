@@ -13,6 +13,8 @@ let fine_searches = Atomic.make 0
 let flat_searches = Atomic.make 0
 let flat_fallbacks = Atomic.make 0
 let scratch_grows = Atomic.make 0
+let astar_pops = Atomic.make 0
+let astar_pushes = Atomic.make 0
 
 type stats = {
   cache_hits : int;
@@ -23,6 +25,8 @@ type stats = {
   flat_searches : int;
   flat_fallbacks : int;
   scratch_grows : int;
+  astar_pops : int;
+  astar_pushes : int;
 }
 
 let stats () =
@@ -35,6 +39,8 @@ let stats () =
     flat_searches = Atomic.get flat_searches;
     flat_fallbacks = Atomic.get flat_fallbacks;
     scratch_grows = Atomic.get scratch_grows;
+    astar_pops = Atomic.get astar_pops;
+    astar_pushes = Atomic.get astar_pushes;
   }
 
 let reset () =
@@ -45,4 +51,6 @@ let reset () =
   Atomic.set fine_searches 0;
   Atomic.set flat_searches 0;
   Atomic.set flat_fallbacks 0;
-  Atomic.set scratch_grows 0
+  Atomic.set scratch_grows 0;
+  Atomic.set astar_pops 0;
+  Atomic.set astar_pushes 0

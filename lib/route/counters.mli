@@ -38,6 +38,15 @@ val scratch_grows : int Atomic.t
     At steady state — scratch warmed to the largest region seen — new
     searches and corridor-widening escalations must not grow it. *)
 
+val astar_pops : int Atomic.t
+(** Priority-queue pops over every A* pass (flat, coarse and fine),
+    stale entries included: the heap traffic that dominates routing
+    time.  Each search adds its local count once, when it ends. *)
+
+val astar_pushes : int Atomic.t
+(** Priority-queue pushes over every A* pass, added like
+    {!astar_pops}. *)
+
 (** {2 Snapshot} *)
 
 type stats = {
@@ -49,6 +58,8 @@ type stats = {
   flat_searches : int;
   flat_fallbacks : int;
   scratch_grows : int;
+  astar_pops : int;
+  astar_pushes : int;
 }
 
 val stats : unit -> stats

@@ -199,12 +199,14 @@ let usage g p =
 let add_usage g p delta =
   guard g p "add_usage";
   let ti, ci = tile_cell g p in
+  (* reject before writing: a refused delta leaves the cell, the tile
+     summary and the generation timeline exactly as they were *)
+  let u = delta + match g.tiles.(ti) with None -> 0 | Some t -> t.t_usage.(ci) in
+  if u < 0 then invalid_arg "Grid.add_usage: negative usage";
   let t = ensure_tile g ti in
-  let u = t.t_usage.(ci) + delta in
   t.t_usage.(ci) <- u;
   t.t_sum_usage <- t.t_sum_usage + delta;
   if delta <> 0 then bump_gen g ti;
-  if u < 0 then invalid_arg "Grid.add_usage: negative usage";
   if Bytes.get t.t_shared ci <> '\001' then
     if u > capacity then Hashtbl.replace g.over (index g p) ()
     else Hashtbl.remove g.over (index g p)
@@ -222,22 +224,51 @@ let add_history g p delta =
   t.t_sum_hist <- t.t_sum_hist + delta;
   if delta <> 0 then bump_gen g ti
 
-let enter_cost_d g ~penalty ~dusage p =
-  guard g p "enter_cost";
-  let base = if Box3.contains g.die p then 1 else 1 + outside_die_cost in
-  let ti, ci = tile_cell g p in
+(* The A* kernels' per-neighbour read: passability and entry cost from
+   one bounds check and one tile lookup, on bare coordinates so the
+   caller allocates no [Vec3.t]. *)
+let probe g ~penalty ~dusage ~avoid_used ~exempt x y z =
+  let lo = g.box.Box3.lo in
+  let ox = x - lo.Vec3.x and oy = y - lo.Vec3.y and oz = z - lo.Vec3.z in
+  if ox < 0 || oy < 0 || oz < 0 || ox >= g.nx || oy >= g.ny || oz >= g.nz then
+    invalid_arg
+      (Printf.sprintf "Grid.enter_cost: out of bounds %s"
+         (Vec3.to_string (Vec3.make x y z)));
+  let d = g.die in
+  let base =
+    if
+      x >= d.Box3.lo.Vec3.x && x <= d.Box3.hi.Vec3.x
+      && y >= d.Box3.lo.Vec3.y && y <= d.Box3.hi.Vec3.y
+      && z >= d.Box3.lo.Vec3.z && z <= d.Box3.hi.Vec3.z
+    then 1
+    else 1 + outside_die_cost
+  in
+  let ti =
+    (((ox lsr tile_bits) * g.ty) + (oy lsr tile_bits)) * g.tz + (oz lsr tile_bits)
+  in
   match g.tiles.(ti) with
   | None ->
-      (* untouched tile: usage 0, history 0, not shared *)
+      (* untouched tile: usage 0, history 0, no obstacle, not shared *)
       let over = dusage + 1 - capacity in
       base + (if over > 0 then penalty * over else 0)
   | Some t ->
-      if Bytes.get t.t_shared ci = '\001' then base + t.t_hist.(ci)
+      let ci =
+        (((ox land tile_mask) lsl tile_bits) lor (oy land tile_mask)) lsl tile_bits
+        lor (oz land tile_mask)
+      in
+      let shared = Bytes.get t.t_shared ci = '\001' in
+      if
+        (not exempt)
+        && (Bytes.get t.t_obst ci = '\001'
+           || (avoid_used && (not shared) && t.t_usage.(ci) >= capacity))
+      then -1
+      else if shared then base + t.t_hist.(ci)
       else
         let over = t.t_usage.(ci) + dusage + 1 - capacity in
         base + t.t_hist.(ci) + (if over > 0 then penalty * over else 0)
 
-let enter_cost g ~penalty p = enter_cost_d g ~penalty ~dusage:0 p
+let enter_cost g ~penalty (p : Vec3.t) =
+  probe g ~penalty ~dusage:0 ~avoid_used:false ~exempt:true p.x p.y p.z
 
 let check_not_view g name =
   if g.view_only then
@@ -374,14 +405,6 @@ let tile_coords g ti =
   let y = rest mod g.ty in
   let x = rest / g.ty in
   (x, y, z)
-
-let tile_origin g ti =
-  let x, y, z = tile_coords g ti in
-  let lo = g.box.Box3.lo in
-  Vec3.make
-    (lo.Vec3.x + (x lsl tile_bits))
-    (lo.Vec3.y + (y lsl tile_bits))
-    (lo.Vec3.z + (z lsl tile_bits))
 
 (* In-bounds cell count of a (possibly boundary-clipped) tile. *)
 let tile_volume g ti =

@@ -49,6 +49,9 @@ val is_shared : t -> Tqec_util.Vec3.t -> bool
 
 val usage : t -> Tqec_util.Vec3.t -> int
 
+(** [add_usage g p delta] adds [delta] to [p]'s usage.
+    @raise Invalid_argument when the usage would turn negative; the
+    grid — cell, tile summary and generations — is then unchanged. *)
 val add_usage : t -> Tqec_util.Vec3.t -> int -> unit
 
 val history : t -> Tqec_util.Vec3.t -> int
@@ -59,13 +62,29 @@ val add_history : t -> Tqec_util.Vec3.t -> int -> unit
     (obstacles are handled by the router, not here). *)
 val enter_cost : t -> penalty:int -> Tqec_util.Vec3.t -> int
 
-(** [enter_cost_d g ~penalty ~dusage p] is {!enter_cost} computed as if
-    the cell's usage were [usage + dusage].  With [dusage = -1] on the
-    cells of a net's own current route, a read-only shared view prices
-    a re-route exactly as if that net had first been ripped up — the
-    trick that lets every worker search one immutable snapshot instead
-    of mutating a private copy. *)
-val enter_cost_d : t -> penalty:int -> dusage:int -> Tqec_util.Vec3.t -> int
+(** [probe g ~penalty ~dusage ~avoid_used ~exempt x y z] answers both
+    questions a search asks of cell [(x, y, z)] with one bounds check
+    and one tile lookup: [-1] when the cell is blocked, else its
+    {!enter_cost} computed as if its usage were [usage + dusage].
+    Unless [exempt], an obstacle is blocked, and with [avoid_used] so is
+    a non-shared cell whose (unbiased) usage is already at capacity.
+
+    With [dusage = -1] on the cells of a net's own current route, a
+    read-only shared view prices a re-route exactly as if that net had
+    first been ripped up — the trick that lets every worker search one
+    immutable snapshot instead of mutating a private copy.  Taking bare
+    coordinates, the call allocates nothing.
+    @raise Invalid_argument when the cell is out of bounds. *)
+val probe :
+  t ->
+  penalty:int ->
+  dusage:int ->
+  avoid_used:bool ->
+  exempt:bool ->
+  int ->
+  int ->
+  int ->
+  int
 
 (** [overused g] lists cells with usage above capacity, in lexicographic
     (x, y, z) order.  The set is maintained incrementally by
@@ -123,6 +142,11 @@ val outside_die_cost : int
     one node per directory slot, 6-neighbor adjacency, capacity signals
     from the incrementally maintained per-tile summaries. *)
 
+(** [tile_edge = 1 lsl tile_bits]: tile coordinates and within-tile
+    offsets of a cell are shifts and masks of its offset from the box's
+    low corner. *)
+val tile_bits : int
+
 (** Tile side length in cells (a compile-time constant). *)
 val tile_edge : int
 
@@ -139,14 +163,6 @@ val tile_dims : t -> int * int * int
     (which must be in bounds); layout is x-major, matching
     {!tile_dims}. *)
 val tile_index : t -> Tqec_util.Vec3.t -> int
-
-(** [tile_origin g ti] is the lowest cell of tile [ti] (boundary tiles
-    may extend past the grid box; clip with {!box}). *)
-val tile_origin : t -> int -> Tqec_util.Vec3.t
-
-(** [tile_cell g p] is [p]'s (directory index, within-tile index); the
-    within-tile index is x-major over the [tile_edge]^3 cells. *)
-val tile_cell : t -> Tqec_util.Vec3.t -> int * int
 
 (** [tile_congestion g ti] is the tile's summed usage + history — the
     coarse congestion signal, maintained incrementally by

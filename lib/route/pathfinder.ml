@@ -234,40 +234,63 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
       let clip b =
         match Box3.inter b grid_box with Some r -> r | None -> grid_box
       in
+      (* newest cell first: the order the searches take as sources *)
       let tree = ref [ first ] in
       (* cache-key scratch, reused across lookups to keep the hot miss
          path allocation-light *)
       let key_seen = Hashtbl.create 64 in
       let tree_set = Hashtbl.create 64 in
       Hashtbl.replace tree_set first ();
+      (* Prim order, kept incrementally: the first [n_left] entries of
+         [pins] are the unconnected pins, each with its Manhattan
+         distance to the tree and its nearest tree cell — the newest
+         one among equals.  Only the cells a connect adds can improve
+         either, so each is checked against every remaining pin once. *)
+      let pins = Array.of_list rest in
+      let n_left = ref (Array.length pins) in
+      let dist = Array.map (Vec3.manhattan first) pins in
+      let nearest = Array.make (Array.length pins) first in
       let add_cells cells =
         List.iter
           (fun c ->
             if not (Hashtbl.mem tree_set c) then begin
               Hashtbl.replace tree_set c ();
-              tree := c :: !tree
+              tree := c :: !tree;
+              for i = 0 to !n_left - 1 do
+                let d = Vec3.manhattan c pins.(i) in
+                if d <= dist.(i) then begin
+                  dist.(i) <- d;
+                  nearest.(i) <- c
+                end
+              done
             end)
           cells
       in
-      (* Prim order: each pin keeps its distance to the growing tree,
-         refreshed lazily; always connect the nearest remaining pin. *)
-      let remaining = ref (List.map (fun p -> (Vec3.manhattan first p, p)) rest) in
-      let dist_to_tree p =
-        List.fold_left (fun acc c -> min acc (Vec3.manhattan c p)) max_int !tree
+      (* Remove and return the remaining pin closest to the tree, ties
+         broken by [Vec3.compare] — distinct pins make the order
+         total — with its nearest tree cell. *)
+      let take_closest () =
+        let best = ref 0 in
+        for i = 1 to !n_left - 1 do
+          let c = Int.compare dist.(i) dist.(!best) in
+          if c < 0 || (c = 0 && Vec3.compare pins.(i) pins.(!best) < 0) then
+            best := i
+        done;
+        let b = !best and last = !n_left - 1 in
+        let pin = pins.(b) and near = nearest.(b) and d = dist.(b) in
+        pins.(b) <- pins.(last);
+        nearest.(b) <- nearest.(last);
+        dist.(b) <- dist.(last);
+        n_left := last;
+        (pin, near, d)
       in
-      let connect pin =
-        if Hashtbl.mem tree_set pin then true
+      let connect (pin, near, d) =
+        (* distance 0: the pin already lies on the tree *)
+        if d = 0 then true
         else begin
           (* restrict the search to the corridor between the pin and the
              nearest point of the tree, widening on failure *)
-          let nearest =
-            List.fold_left
-              (fun best c ->
-                if Vec3.manhattan c pin < Vec3.manhattan best pin then c
-                else best)
-              (List.hd !tree) !tree
-          in
-          let corridor = Box3.bounding [ pin; nearest ] in
+          let corridor = Box3.bounding [ pin; near ] in
           (* Small windows take the historical flat search (bit-identical
              routes).  Past the volume threshold, a coarse corridor over
              the tile graph bounds the fine search; if the corridor is
@@ -382,20 +405,8 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
         end
       in
       let ok = ref true in
-      while !ok && !remaining <> [] do
-        (* refresh distances and pick the closest pin *)
-        let refreshed =
-          List.map (fun (_, p) -> (dist_to_tree p, p)) !remaining
-        in
-        let (_, pin), rest' =
-          match List.sort compare refreshed with
-          | best :: others -> (best, others)
-          (* partial: the enclosing loop runs only while [remaining]
-             is non-empty, so the sorted list has a head *)
-          | [] -> assert false
-        in
-        remaining := rest';
-        ok := connect pin
+      while !ok && !n_left > 0 do
+        ok := connect (take_closest ())
       done;
       if !ok then Some (List.rev !tree) else None
 

@@ -1,26 +1,32 @@
-(** Mutable binary min-heap keyed by integer priorities.
+(** Mutable binary min-heap of int values keyed by int priorities.
 
-    The A* router and the PathFinder wavefronts push the same element more
-    than once with decreasing keys instead of performing decrease-key; the
-    consumer skips stale pops, which is the standard trick for grid
-    routing. *)
+    The A* router pushes the same cell code more than once with
+    decreasing keys instead of performing decrease-key; the consumer
+    skips stale pops, which is the standard trick for grid routing.
+    Keys, insertion sequence numbers and values live in unboxed int
+    arrays: once the arrays have grown to the largest open set seen,
+    [push] and [pop] allocate nothing. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> int -> 'a -> unit
+(** [push t key value] inserts [value] with priority [key]. *)
+val push : t -> int -> int -> unit
 
-(** [pop t] removes and returns the (key, value) pair with the smallest
-    key; ties are broken by insertion order (FIFO), keeping searches
-    deterministic. @raise Not_found when empty. *)
-val pop : 'a t -> int * 'a
+(** [min_key t] is the smallest key present. @raise Not_found when
+    empty. *)
+val min_key : t -> int
 
-(** [peek t] is [pop] without removal. @raise Not_found when empty. *)
-val peek : 'a t -> int * 'a
+(** [pop t] removes and returns the value with the smallest key; ties
+    are broken by insertion order (FIFO), keeping searches
+    deterministic.  @raise Not_found when empty. *)
+val pop : t -> int
 
-val clear : 'a t -> unit
+(** [clear t] empties the queue and restarts its insertion sequence,
+    keeping the grown arrays. *)
+val clear : t -> unit

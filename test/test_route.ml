@@ -27,11 +27,28 @@ let test_grid_usage_history () =
   Grid.add_usage g p (-2);
   check Alcotest.int "usage back" 0 (Grid.usage g p)
 
+(* A refused delta must leave the grid untouched: no usage written, no
+   tile summary moved, no generation bumped — otherwise a following +1
+   claim is silently absorbed. *)
 let test_grid_negative_usage_rejected () =
   let g = grid10 () in
+  let p = vec 0 0 0 in
+  let ti = Grid.tile_index g p in
   Alcotest.check_raises "negative usage"
     (Invalid_argument "Grid.add_usage: negative usage") (fun () ->
-      Grid.add_usage g (vec 0 0 0) (-1))
+      Grid.add_usage g p (-1));
+  check Alcotest.int "usage unchanged" 0 (Grid.usage g p);
+  check Alcotest.int "tile congestion unchanged" 0 (Grid.tile_congestion g ti);
+  check Alcotest.int "generation unchanged" 0 (Grid.generation g);
+  Grid.add_usage g p 1;
+  check Alcotest.int "a following claim counts" 1 (Grid.usage g p);
+  let gen = Grid.generation g in
+  Alcotest.check_raises "negative usage on a used cell"
+    (Invalid_argument "Grid.add_usage: negative usage") (fun () ->
+      Grid.add_usage g p (-2));
+  check Alcotest.int "usage kept" 1 (Grid.usage g p);
+  check Alcotest.int "tile congestion kept" 1 (Grid.tile_congestion g ti);
+  check Alcotest.int "generation kept" gen (Grid.generation g)
 
 let test_grid_obstacles () =
   let g = grid10 () in
@@ -328,6 +345,32 @@ let test_grid_mem_tracks_touched_tiles () =
   check Alcotest.bool "directory covers the box" true
     (m.Grid.mem_tiles_total * Grid.tile_cells >= m.Grid.mem_cells)
 
+(* The fused per-neighbour read of the A* kernels: -1 for a blocked
+   cell, else the entry cost at usage + dusage. *)
+let test_grid_probe () =
+  let g = grid10 () in
+  let probe ?(dusage = 0) ?(avoid_used = false) ?(exempt = false) (p : Vec3.t) =
+    Grid.probe g ~penalty:3 ~dusage ~avoid_used ~exempt p.x p.y p.z
+  in
+  let obst = vec 1 1 1 and used = vec 2 2 2 and shared = vec 3 3 3 in
+  Grid.set_obstacle g obst;
+  Grid.add_usage g used 1;
+  Grid.set_shared g shared;
+  Grid.add_usage g shared 1;
+  check Alcotest.int "untouched tile" 1 (probe (vec 9 9 9));
+  check Alcotest.int "obstacle blocked" (-1) (probe obst);
+  check Alcotest.int "exempt obstacle priced" 1 (probe ~exempt:true obst);
+  check Alcotest.int "at capacity priced" (1 + 3) (probe used);
+  check Alcotest.int "own route priced out" 1 (probe ~dusage:(-1) used);
+  check Alcotest.int "avoid_used blocks a full cell" (-1) (probe ~avoid_used:true used);
+  check Alcotest.int "avoid_used ignores dusage" (-1)
+    (probe ~avoid_used:true ~dusage:(-1) used);
+  check Alcotest.int "avoid_used spares shared cells" 1 (probe ~avoid_used:true shared);
+  check Alcotest.int "enter_cost agrees" (Grid.enter_cost g ~penalty:3 used) (probe used);
+  Alcotest.check_raises "out of bounds"
+    (Invalid_argument "Grid.enter_cost: out of bounds (10,0,0)") (fun () ->
+      ignore (probe (vec 10 0 0)))
+
 let test_grid_die_cost () =
   let die = Box3.make (vec 0 0 0) (vec 4 4 4) in
   let g = Grid.create ~die (Box3.make (vec 0 0 0) (vec 9 9 9)) in
@@ -451,17 +494,20 @@ let prop_astar_optimal_vs_dijkstra =
         | Some path -> Some (Astar.path_cost g ~penalty:2 path)
         | None -> None
       in
-      (* plain Dijkstra oracle *)
+      (* plain Dijkstra oracle; the queue carries cells encoded as ints *)
+      let encode (p : Vec3.t) = (((p.x * size) + p.y) * size) + p.z in
+      let decode i = vec (i / (size * size)) (i / size mod size) (i mod size) in
       let dist = Hashtbl.create 64 in
       let q = Pqueue.create () in
       Hashtbl.replace dist source 0;
-      Pqueue.push q 0 source;
+      Pqueue.push q 0 (encode source);
       let passable p =
         Box3.contains box p
         && ((not (Grid.is_obstacle g p)) || Vec3.equal p target || Vec3.equal p source)
       in
       while not (Pqueue.is_empty q) do
-        let d, p = Pqueue.pop q in
+        let d = Pqueue.min_key q in
+        let p = decode (Pqueue.pop q) in
         if d <= (try Hashtbl.find dist p with Not_found -> max_int) then
           List.iter
             (fun n ->
@@ -470,13 +516,51 @@ let prop_astar_optimal_vs_dijkstra =
                 let old = try Hashtbl.find dist n with Not_found -> max_int in
                 if nd < old then begin
                   Hashtbl.replace dist n nd;
-                  Pqueue.push q nd n
+                  Pqueue.push q nd (encode n)
                 end
               end)
             (Vec3.axis_neighbors p)
       done;
       let dijkstra_cost = Hashtbl.find_opt dist target in
       astar_cost = dijkstra_cost)
+
+(* Minor-heap words per returned path cell across warmed searches on a
+   fixed grid.  Counts work, not time, so it is deterministic on one
+   domain.  The returned path costs 7 words a cell (a list cell and a
+   [Vec3.t]); a kernel that allocates per expansion — a neighbour list,
+   a boxed heap entry, a popped tuple — exceeds the bound many times
+   over, since a search expands far more cells than it returns. *)
+let words_per_path_cell_bound = 16.
+
+let test_astar_allocation_per_path_cell () =
+  let g = Grid.create (Box3.make (vec 0 0 0) (vec 63 63 3)) in
+  (* a wall across most of the grid forces a detour around its end *)
+  for y = 0 to 35 do
+    for z = 0 to 3 do
+      Grid.set_obstacle g (vec 32 y z)
+    done
+  done;
+  let region = Grid.box g and sources = [ vec 16 20 1 ] and target = vec 48 20 1 in
+  let scratch = Astar.create_scratch () in
+  let search () = Astar.search ~scratch g ~region ~penalty:2 ~sources ~target in
+  (* the first search warms the scratch and the queue *)
+  let cells =
+    match search () with
+    | Some path -> List.length path
+    | None -> Alcotest.fail "expected a detour around the wall"
+  in
+  let searches = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to searches do
+    ignore (search ())
+  done;
+  let words = Gc.minor_words () -. before in
+  let per = words /. float_of_int (searches * cells) in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per path cell (%d-cell path) <= %.0f" per
+       cells words_per_path_cell_bound)
+    true
+    (per <= words_per_path_cell_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Pathfinder                                                          *)
@@ -843,6 +927,227 @@ let prop_pathfinder_random_nets_valid =
       r.Pathfinder.success && Pathfinder.validate g r nets = [])
 
 (* ------------------------------------------------------------------ *)
+(* Golden route digests                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Routes must stay bit-identical across rewrites of the A* kernels, the
+   priority queue and the Prim pin order.  The Dijkstra oracle above
+   checks cost only, so tie-breaking — which source, which of several
+   equal-cost paths, which pin connects next — is pinned here: each
+   digest hashes, in order, the returned cell paths of many seeded
+   random cases.  The digests were computed with the boxed-heap kernels
+   and the rescanning Prim order; any change to a single returned cell
+   changes them. *)
+
+let add_path b = function
+  | None -> Buffer.add_string b " none"
+  | Some path ->
+      List.iter
+        (fun (c : Vec3.t) -> Printf.bprintf b " %d,%d,%d" c.x c.y c.z)
+        path
+
+let random_cell rng (box : Box3.t) =
+  vec
+    (Rng.int_in rng box.lo.x box.hi.x)
+    (Rng.int_in rng box.lo.y box.hi.y)
+    (Rng.int_in rng box.lo.z box.hi.z)
+
+(* A congested random grid with an off-origin box, a die smaller than
+   the box, obstacles, usage, history and shared cells.  [nx >= 4] and
+   [ny >= 3] keep the die non-empty. *)
+let random_grid rng ~nx ~ny ~nz =
+  let lo = vec (Rng.int_in rng (-3) 3) (Rng.int_in rng (-3) 3) (Rng.int_in rng (-3) 3) in
+  let box = Box3.make lo (vec (lo.x + nx - 1) (lo.y + ny - 1) (lo.z + nz - 1)) in
+  let die =
+    Box3.make (vec (lo.x + 1) (lo.y + 1) lo.z)
+      (vec (lo.x + nx - 3) (lo.y + ny - 2) (lo.z + nz - 1))
+  in
+  let g = Grid.create ~die box in
+  let cells = nx * ny * nz in
+  for _ = 1 to cells / 8 do
+    Grid.set_obstacle g (random_cell rng box)
+  done;
+  for _ = 1 to cells / 6 do
+    Grid.add_usage g (random_cell rng box) (1 + Rng.int rng 2)
+  done;
+  for _ = 1 to cells / 10 do
+    Grid.add_history g (random_cell rng box) (1 + Rng.int rng 4)
+  done;
+  for _ = 1 to cells / 20 do
+    Grid.set_shared g (random_cell rng box)
+  done;
+  (g, box)
+
+(* Search options drawn per case: several sources, an own route to
+   price out, the cleanup mode, a small expansion budget, a region that
+   is the box, pokes outside it, or is a sub-window. *)
+let random_search_args rng box =
+  let sources = List.init (1 + Rng.int rng 4) (fun _ -> random_cell rng box) in
+  let target = random_cell rng box in
+  let exclude =
+    if Rng.int rng 3 = 0 then []
+    else List.init (Rng.int rng 24) (fun _ -> random_cell rng box)
+  in
+  let avoid_used = Rng.int rng 3 = 0 in
+  let max_expansions =
+    if Rng.int rng 4 = 0 then 1 + Rng.int rng 60 else 400_000
+  in
+  let region =
+    match Rng.int rng 3 with
+    | 0 -> box
+    | 1 -> Box3.inflate 2 box
+    | _ -> Box3.inflate 2 (Box3.bounding [ random_cell rng box; target ])
+  in
+  let penalty = 1 + Rng.int rng 8 in
+  (sources, target, exclude, avoid_used, max_expansions, region, penalty)
+
+let digest_of b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Symmetric detours: a plate across the straight line from source to
+   target, spanning the grid along one axis and leaving an equal-cost
+   way round each of its two edges along another, so the path taken is
+   decided by which of the opposite neighbours is pushed first — ties
+   the random cases below rarely reach.  Every (line axis, detour axis)
+   pair, through both the flat and the corridor kernels. *)
+let test_golden_symmetric_detours () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (axis, detour) ->
+      (* [place a d e]: coordinate [a] on [axis], [d] on [detour] and
+         [e] on the remaining axis *)
+      let place a d e =
+        let c = Array.make 3 e in
+        c.(axis) <- a;
+        c.(detour) <- d;
+        vec c.(0) c.(1) c.(2)
+      in
+      let g = Grid.create (Box3.make (vec 0 0 0) (vec 16 16 16)) in
+      for d = 4 to 12 do
+        for e = 0 to 16 do
+          Grid.set_obstacle g (place 8 d e)
+        done
+      done;
+      let region = Grid.box g
+      and sources = [ place 2 8 8 ]
+      and target = place 14 8 8 in
+      Printf.bprintf b "\naxis %d detour %d flat" axis detour;
+      add_path b (Astar.search g ~region ~penalty:2 ~sources ~target);
+      let scr = Astar.create_scratch () in
+      Printf.bprintf b "\naxis %d detour %d corridor" axis detour;
+      match Astar.coarse_corridor scr g ~region ~sources ~target with
+      | None -> Buffer.add_string b " no-corridor"
+      | Some corridor ->
+          add_path b
+            (Astar.fine_in_corridor scr g ~corridor ~region ~penalty:2 ~sources
+               ~target))
+    [ (0, 1); (0, 2); (1, 0); (1, 2); (2, 0); (2, 1) ];
+  check Alcotest.string "symmetric detour digest, flat and corridor"
+    "67b34f4caac1a53b73b88a41a7548f0a" (digest_of b)
+
+let test_golden_flat_search () =
+  let b = Buffer.create 65536 in
+  let scratch = Astar.create_scratch () in
+  for seed = 1 to 150 do
+    let rng = Rng.create seed in
+    let g, box =
+      random_grid rng ~nx:(4 + Rng.int rng 10) ~ny:(3 + Rng.int rng 10)
+        ~nz:(1 + Rng.int rng 5)
+    in
+    let sources, target, exclude, avoid_used, max_expansions, region, penalty =
+      random_search_args rng box
+    in
+    Printf.bprintf b "\n%d" seed;
+    add_path b
+      (Astar.search ~scratch ~max_expansions ~avoid_used ~exclude g ~region
+         ~penalty ~sources ~target)
+  done;
+  check Alcotest.string "Astar.search digest, 150 seeded cases"
+    "d2858f023aebea3f24eca4be047bbc4b" (digest_of b)
+
+let test_golden_corridor_search () =
+  let b = Buffer.create 65536 in
+  let scratch = Astar.create_scratch () in
+  for seed = 1 to 60 do
+    let rng = Rng.create (1000 + seed) in
+    let g, box =
+      random_grid rng ~nx:(10 + Rng.int rng 24) ~ny:(10 + Rng.int rng 24)
+        ~nz:(2 + Rng.int rng 12)
+    in
+    (* an occasional fully walled tile block, which the coarse pass
+       treats as impassable *)
+    if Rng.bool rng then begin
+      let c = random_cell rng box in
+      Grid.set_obstacle_box g (Box3.make c (Vec3.add c (vec 9 9 9)))
+    end;
+    let sources, target, exclude, avoid_used, max_expansions, region, penalty =
+      random_search_args rng box
+    in
+    Printf.bprintf b "\n%d" seed;
+    match Astar.coarse_corridor ~exclude scratch g ~region ~sources ~target with
+    | None -> Buffer.add_string b " no-corridor"
+    | Some corridor ->
+        List.iter (Printf.bprintf b " t%d") corridor;
+        add_path b
+          (Astar.fine_in_corridor ~max_expansions ~avoid_used ~exclude scratch
+             g ~corridor ~region ~penalty ~sources ~target)
+  done;
+  check Alcotest.string "coarse_corridor + fine_in_corridor digest, 60 cases"
+    "cd435988bebf0c99cc76ad3f744cc663" (digest_of b)
+
+(* Random multi-pin nets on small crowded grids.  Small coordinates make
+   equal pin distances (Prim ties) and equal nearest-cell distances
+   common; crowding forces batch iterations (each net's old route priced
+   out via [exclude]); a two-iteration budget on a third of the cases
+   leaves overuse for the [avoid_used] cleanup; a quarter force the
+   hierarchical path. *)
+let route_all_digest jobs =
+  let b = Buffer.create 65536 in
+  for seed = 1 to 40 do
+    let rng = Rng.create (2000 + seed) in
+    let nx = 6 + Rng.int rng 8 and ny = 4 + Rng.int rng 6 and nz = 1 + Rng.int rng 3 in
+    let box = Box3.make (vec 0 0 0) (vec (nx - 1) (ny - 1) (nz - 1)) in
+    let g = Grid.create ~die:(Box3.make (vec 0 0 0) (vec (nx - 2) (ny - 1) (nz - 1))) box in
+    for _ = 1 to nx * ny * nz / 12 do
+      Grid.set_obstacle g (random_cell rng box)
+    done;
+    let nets =
+      List.init (5 + Rng.int rng 6) (fun i ->
+          {
+            Pathfinder.net_id = i;
+            pins = List.init (2 + Rng.int rng 4) (fun _ -> random_cell rng box);
+          })
+    in
+    List.iter
+      (fun (n : Pathfinder.net) -> List.iter (Grid.set_shared g) n.Pathfinder.pins)
+      nets;
+    let config =
+      {
+        Pathfinder.default_config with
+        jobs = Some jobs;
+        max_iterations = (if seed mod 3 = 0 then 2 else 40);
+        corridor_cells = (if seed mod 4 = 0 then 0 else 1_000_000);
+      }
+    in
+    let r = Pathfinder.route_all g config nets in
+    Printf.bprintf b "\n%d success=%b iterations=%d overused=%d unrouted=%s" seed
+      r.Pathfinder.success r.Pathfinder.iterations_used
+      r.Pathfinder.overused_after
+      (String.concat "," (List.map string_of_int r.Pathfinder.unrouted));
+    List.iter
+      (fun (rt : Pathfinder.routed) ->
+        Printf.bprintf b "\n net %d:" rt.Pathfinder.r_net;
+        add_path b (Some rt.Pathfinder.r_cells))
+      r.Pathfinder.routes
+  done;
+  digest_of b
+
+let test_golden_route_all () =
+  check Alcotest.string "route_all digest, jobs=1" "eb21db6d7f8de22ffef4f80643a5d7de"
+    (route_all_digest 1);
+  check Alcotest.string "route_all digest, jobs=2" "eb21db6d7f8de22ffef4f80643a5d7de"
+    (route_all_digest 2)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: route-stage jobs invariance on suite circuits           *)
 (* ------------------------------------------------------------------ *)
 
@@ -893,6 +1198,7 @@ let suites =
         Alcotest.test_case "overused" `Quick test_grid_overused;
         Alcotest.test_case "snapshot isolated" `Quick test_grid_snapshot_isolated;
         Alcotest.test_case "die cost" `Quick test_grid_die_cost;
+        Alcotest.test_case "probe" `Quick test_grid_probe;
         Alcotest.test_case "view rejects overuse queries" `Quick
           test_grid_view_rejects_overuse_queries;
         Alcotest.test_case "mem tracks touched tiles" `Quick
@@ -910,6 +1216,8 @@ let suites =
         Alcotest.test_case "pins exempt" `Quick test_astar_source_target_exempt;
         Alcotest.test_case "multi-source" `Quick test_astar_multi_source;
         qtest prop_astar_optimal_vs_dijkstra;
+        Alcotest.test_case "allocation per path cell" `Quick
+          test_astar_allocation_per_path_cell;
       ] );
     ( "route.pathfinder",
       [
@@ -934,6 +1242,16 @@ let suites =
           test_corridor_minimal_when_feasible;
         Alcotest.test_case "jobs invariant (corridor forced)" `Quick
           test_corridor_jobs_invariant;
+      ] );
+    ( "route.golden",
+      [
+        Alcotest.test_case "symmetric detours" `Quick
+          test_golden_symmetric_detours;
+        Alcotest.test_case "flat search paths" `Quick test_golden_flat_search;
+        Alcotest.test_case "corridor search paths" `Quick
+          test_golden_corridor_search;
+        Alcotest.test_case "route_all at jobs 1 and 2" `Quick
+          test_golden_route_all;
       ] );
     ( "route.validate",
       [

@@ -219,42 +219,86 @@ let prop_uf_sizes_sum =
 
 let test_pqueue_order () =
   let q = Pqueue.create () in
-  List.iter (fun k -> Pqueue.push q k k) [ 5; 1; 4; 2; 3 ];
-  let popped = List.init 5 (fun _ -> fst (Pqueue.pop q)) in
-  check Alcotest.(list int) "sorted pops" [ 1; 2; 3; 4; 5 ] popped;
+  List.iter (fun k -> Pqueue.push q k (10 * k)) [ 5; 1; 4; 2; 3 ];
+  let popped = List.init 5 (fun _ -> Pqueue.pop q) in
+  check Alcotest.(list int) "sorted pops" [ 10; 20; 30; 40; 50 ] popped;
   check Alcotest.bool "empty" true (Pqueue.is_empty q)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
-  Pqueue.push q 1 "a";
-  Pqueue.push q 1 "b";
-  Pqueue.push q 1 "c";
-  let order = List.init 3 (fun _ -> snd (Pqueue.pop q)) in
-  check Alcotest.(list string) "FIFO on ties" [ "a"; "b"; "c" ] order
+  Pqueue.push q 1 7;
+  Pqueue.push q 1 3;
+  Pqueue.push q 1 5;
+  let order = List.init 3 (fun _ -> Pqueue.pop q) in
+  check Alcotest.(list int) "FIFO on ties" [ 7; 3; 5 ] order
 
 let test_pqueue_peek_clear () =
   let q = Pqueue.create () in
-  Pqueue.push q 3 "x";
-  Pqueue.push q 1 "y";
-  check Alcotest.string "peek min" "y" (snd (Pqueue.peek q));
+  Pqueue.push q 3 30;
+  Pqueue.push q 1 10;
+  check Alcotest.int "min key" 1 (Pqueue.min_key q);
   check Alcotest.int "peek preserves" 2 (Pqueue.length q);
   Pqueue.clear q;
   check Alcotest.bool "cleared" true (Pqueue.is_empty q);
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Pqueue.pop q))
+  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Pqueue.pop q));
+  Alcotest.check_raises "min_key empty" Not_found (fun () ->
+      ignore (Pqueue.min_key q))
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue pops in nondecreasing key order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
       let q = Pqueue.create () in
-      List.iter (fun k -> Pqueue.push q k ()) keys;
+      List.iter (fun k -> Pqueue.push q k k) keys;
       let rec drain last =
         if Pqueue.is_empty q then true
         else
-          let k, () = Pqueue.pop q in
-          k >= last && drain k
+          let k = Pqueue.min_key q in
+          Pqueue.pop q = k && k >= last && drain k
       in
       drain min_int)
+
+(* Under interleaved pushes and pops (including pops from an empty
+   queue and a mid-sequence [clear]), values come out exactly as a
+   stable sort by (key, insertion index) of the entries present at each
+   pop would deliver them.  Keys come from a small range, so equal keys
+   — the FIFO tie rule — are the common case. *)
+let prop_pqueue_stable_order =
+  QCheck.Test.make ~name:"pqueue pops in stable (key, insertion) order"
+    ~count:300
+    QCheck.(list (pair (int_range 0 4) (int_range (-3) 6)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      (* model: (key, insertion index, value), unordered *)
+      let model = ref [] and next = ref 0 in
+      List.for_all
+        (fun (op, key) ->
+          match op with
+          | 0 -> (
+              match
+                List.sort
+                  (fun (k1, i1, _) (k2, i2, _) ->
+                    match Int.compare k1 k2 with 0 -> Int.compare i1 i2 | c -> c)
+                  !model
+              with
+              | [] -> (
+                  match Pqueue.pop q with
+                  | _ -> false
+                  | exception Not_found -> true)
+              | (k, _, v) :: _ ->
+                  model := List.filter (fun (_, _, v') -> v' <> v) !model;
+                  Pqueue.min_key q = k && Pqueue.pop q = v)
+          | 1 when key = 6 ->
+              Pqueue.clear q;
+              model := [];
+              Pqueue.is_empty q
+          | _ ->
+              let v = !next in
+              incr next;
+              Pqueue.push q key v;
+              model := (key, v, v) :: !model;
+              Pqueue.length q = List.length !model)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Veca                                                                *)
@@ -609,6 +653,7 @@ let suites =
         Alcotest.test_case "FIFO ties" `Quick test_pqueue_fifo_ties;
         Alcotest.test_case "peek/clear" `Quick test_pqueue_peek_clear;
         qtest prop_pqueue_sorts;
+        qtest prop_pqueue_stable_order;
       ] );
     ( "util.veca",
       [
