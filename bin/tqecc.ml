@@ -141,9 +141,10 @@ let optimize_arg =
 
 let timings_arg =
   let doc =
-    "Print per-stage wall times and the work-stealing scheduler's \
-     counters (tasks executed, steals, injector traffic, parks) after \
-     the run."
+    "Print per-stage wall times, the placer's work (nodes, annealing \
+     moves attempted and accepted, accept ratio), the work-stealing \
+     scheduler's counters (tasks executed, steals, injector traffic, \
+     parks) and the router's counters after the run."
   in
   Arg.(value & flag & info [ "timings" ] ~doc)
 
@@ -152,6 +153,14 @@ let print_timings (r : Pipeline.t) =
   List.iter
     (fun (name, dt) -> Format.printf "  %-10s %8.3fs@." name dt)
     r.Pipeline.timings;
+  let sa = r.Pipeline.placement.Tqec_place.Placer.sa_stats in
+  Format.printf
+    "placer: nodes=%d moves attempted=%d accepted=%d accept-ratio=%.3f@."
+    r.Pipeline.stages.Pipeline.st_nodes sa.Tqec_place.Sa.attempted
+    sa.Tqec_place.Sa.accepted
+    (Tqec_util.Stats.ratio
+       (float_of_int sa.Tqec_place.Sa.accepted)
+       (float_of_int sa.Tqec_place.Sa.attempted));
   let s = Tqec_util.Pool.stats () in
   Format.printf
     "scheduler: workers=%d submitted=%d executed=%d stolen=%d injected=%d \

@@ -46,7 +46,20 @@ type t = {
   cp_x : int array;
   cp_y : int array;
   cp_len : int array;
+  (* single-level undo of the last [perturb]: the move kind, its block
+     operands, and for [Relink] the tree links from before the move *)
+  mutable last : move;
+  mutable last_a : int;
+  mutable last_b : int;
+  u_block_at : int array;
+  u_slot_of : int array;
+  u_parent : int array;
+  u_left : int array;
+  u_right : int array;
+  mutable u_root : int;
 }
+
+and move = Nop | Rotate | Swap | Relink
 
 let size t = t.n
 let width t b = if t.rot.(b) then t.h.(b) else t.w.(b)
@@ -78,7 +91,9 @@ let in_tree t slot = slot = t.root || t.parent.(slot) <> -1
 (* rebuild the set from the links, ascending slot order *)
 let rebuild_free t =
   t.free_len <- 0;
-  Array.fill t.free_pos 0 t.n (-1);
+  for slot = 0 to t.n - 1 do
+    t.free_pos.(slot) <- -1
+  done;
   for slot = 0 to t.n - 1 do
     if in_tree t slot && (t.left.(slot) = -1 || t.right.(slot) = -1) then
       free_add t slot
@@ -120,6 +135,15 @@ let alloc dims =
     cp_x = Array.make (cp_rows * cp_width) 0;
     cp_y = Array.make (cp_rows * cp_width) 0;
     cp_len = Array.make cp_rows 0;
+    last = Nop;
+    last_a = 0;
+    last_b = 0;
+    u_block_at = Array.make n 0;
+    u_slot_of = Array.make n 0;
+    u_parent = Array.make n 0;
+    u_left = Array.make n 0;
+    u_right = Array.make n 0;
+    u_root = 0;
   }
 
 let create dims =
@@ -140,56 +164,6 @@ let create dims =
       t.parent.(r) <- i
     end
   done;
-  rebuild_free t;
-  t
-
-let create_shelves dims =
-  if Array.length dims = 0 then
-    invalid_arg "Bstar_tree.create_shelves: no blocks";
-  let t = alloc dims in
-  let n = t.n in
-  let total_area =
-    Array.fold_left (fun acc (w, h) -> acc + (w * h)) 0 dims
-  in
-  let target_w =
-    max
-      (Array.fold_left (fun acc (w, _) -> max acc w) 1 dims)
-      (int_of_float (sqrt (1.15 *. float_of_int total_area)))
-  in
-  let order = Array.init n (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare (snd dims.(b)) (snd dims.(a)) in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  (* build shelves: within a row, chain left children; each new row head
-     is the right child of the previous row's head *)
-  let row_head = ref (-1) and row_prev = ref (-1) and row_width = ref 0 in
-  Array.iter
-    (fun b ->
-      let slot = b in
-      let w = fst dims.(b) in
-      if !row_head = -1 then begin
-        (* first block overall: root *)
-        t.root <- slot;
-        row_head := slot;
-        row_prev := slot;
-        row_width := w
-      end
-      else if !row_width + w <= target_w then begin
-        t.left.(!row_prev) <- slot;
-        t.parent.(slot) <- !row_prev;
-        row_prev := slot;
-        row_width := !row_width + w
-      end
-      else begin
-        t.right.(!row_head) <- slot;
-        t.parent.(slot) <- !row_head;
-        row_head := slot;
-        row_prev := slot;
-        row_width := w
-      end)
-    order;
   rebuild_free t;
   t
 
@@ -252,42 +226,61 @@ let move_block t ~rng b =
     attach t ~rng leaf
   end
 
-(* The free-arity set is not captured: [restore] rebuilds it in O(n)
-   from the restored links, which keeps snapshots as cheap as the tree
-   arrays alone (the annealer allocates one per trial move).  The
-   rebuilt set is in canonical ascending-slot order — a deterministic,
-   RNG-visible reordering relative to the pre-snapshot swap-removal
-   order, like the one [attach] itself introduced. *)
-type snapshot = {
-  s_rot : bool array;
-  s_block_at : int array;
-  s_slot_of : int array;
-  s_parent : int array;
-  s_left : int array;
-  s_right : int array;
-  s_root : int;
-}
+(* The undo keeps the tree links in preallocated arrays, copied by int
+   loops: no allocation and no write barrier per move.  The free-arity
+   set is not saved: [undo] rebuilds it in ascending slot order from
+   the restored links — an RNG-visible order (the next [attach] draws
+   from it) that every recorded placement depends on. *)
+let save_links t =
+  for s = 0 to t.n - 1 do
+    t.u_block_at.(s) <- t.block_at.(s);
+    t.u_slot_of.(s) <- t.slot_of.(s);
+    t.u_parent.(s) <- t.parent.(s);
+    t.u_left.(s) <- t.left.(s);
+    t.u_right.(s) <- t.right.(s)
+  done;
+  t.u_root <- t.root
 
-let snapshot t =
-  {
-    s_rot = Array.copy t.rot;
-    s_block_at = Array.copy t.block_at;
-    s_slot_of = Array.copy t.slot_of;
-    s_parent = Array.copy t.parent;
-    s_left = Array.copy t.left;
-    s_right = Array.copy t.right;
-    s_root = t.root;
-  }
-
-let restore t s =
-  Array.blit s.s_rot 0 t.rot 0 t.n;
-  Array.blit s.s_block_at 0 t.block_at 0 t.n;
-  Array.blit s.s_slot_of 0 t.slot_of 0 t.n;
-  Array.blit s.s_parent 0 t.parent 0 t.n;
-  Array.blit s.s_left 0 t.left 0 t.n;
-  Array.blit s.s_right 0 t.right 0 t.n;
-  t.root <- s.s_root;
+let load_links t =
+  for s = 0 to t.n - 1 do
+    t.block_at.(s) <- t.u_block_at.(s);
+    t.slot_of.(s) <- t.u_slot_of.(s);
+    t.parent.(s) <- t.u_parent.(s);
+    t.left.(s) <- t.u_left.(s);
+    t.right.(s) <- t.u_right.(s)
+  done;
+  t.root <- t.u_root;
   rebuild_free t
+
+let perturb t ~rng ~rotatable =
+  let n_rot = Array.length rotatable in
+  match if n_rot = 0 then 1 + Rng.int rng 2 else Rng.int rng 3 with
+  | 0 ->
+      let b = rotatable.(Rng.int rng n_rot) in
+      rotate t b;
+      t.last <- Rotate;
+      t.last_a <- b
+  | 1 ->
+      let a = Rng.int rng t.n and b = Rng.int rng t.n in
+      swap_blocks t a b;
+      t.last <- Swap;
+      t.last_a <- a;
+      t.last_b <- b
+  | _ ->
+      if t.n < 2 then t.last <- Nop
+      else begin
+        save_links t;
+        move_block t ~rng (Rng.int rng t.n);
+        t.last <- Relink
+      end
+
+let undo t =
+  (match t.last with
+  | Nop -> ()
+  | Rotate -> rotate t t.last_a
+  | Swap -> swap_blocks t t.last_a t.last_b
+  | Relink -> load_links t);
+  t.last <- Nop
 
 (* ------------------------------------------------------------------ *)
 (* packing                                                             *)
@@ -325,12 +318,21 @@ let flat_place t x0 x1 h =
     incr q
   done;
   (* splice: keep breakpoints left of x0, insert (x0, base+h) and
-     (x1, y_end), keep breakpoints right of x1 *)
+     (x1, y_end), keep breakpoints right of x1.  The tail moves by an
+     int loop, not [Array.blit]: the skyline lives in the major heap,
+     where a blit pays the write barrier on every word. *)
   let tail = len - !q in
-  if tail > 0 && !q <> p + 2 then begin
-    Array.blit sk_x !q sk_x (p + 2) tail;
-    Array.blit sk_y !q sk_y (p + 2) tail
-  end;
+  let shift = p + 2 - !q in
+  if shift < 0 then
+    for k = !q to len - 1 do
+      sk_x.(k + shift) <- sk_x.(k);
+      sk_y.(k + shift) <- sk_y.(k)
+    done
+  else if shift > 0 then
+    for k = len - 1 downto !q do
+      sk_x.(k + shift) <- sk_x.(k);
+      sk_y.(k + shift) <- sk_y.(k)
+    done;
   sk_x.(p) <- x0;
   sk_y.(p) <- !base + h;
   sk_x.(p + 1) <- x1;
@@ -345,17 +347,22 @@ let flat_reset t =
 
 let cp_width t = (2 * t.n) + 2
 
+(* Checkpoint copies are int loops for the same reason as the splice. *)
 let flat_save_checkpoint t j =
   let off = j * cp_width t in
-  Array.blit t.sk_x 0 t.cp_x off t.sk_len;
-  Array.blit t.sk_y 0 t.cp_y off t.sk_len;
+  for k = 0 to t.sk_len - 1 do
+    t.cp_x.(off + k) <- t.sk_x.(k);
+    t.cp_y.(off + k) <- t.sk_y.(k)
+  done;
   t.cp_len.(j) <- t.sk_len
 
 let flat_load_checkpoint t j =
   let off = j * cp_width t in
   let len = t.cp_len.(j) in
-  Array.blit t.cp_x off t.sk_x 0 len;
-  Array.blit t.cp_y off t.sk_y 0 len;
+  for k = 0 to len - 1 do
+    t.sk_x.(k) <- t.cp_x.(off + k);
+    t.sk_y.(k) <- t.cp_y.(off + k)
+  done;
   t.sk_len <- len
 
 (* Restore the flat contour to its state just before cached step [k]:

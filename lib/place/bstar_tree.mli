@@ -25,12 +25,6 @@ type t
     given (w, h) footprints, in index order. *)
 val create : (int * int) array -> t
 
-(** [create_shelves dims] builds an initial tree that packs like shelf
-    (strip) packing: blocks sorted by decreasing height fill rows of
-    width about [sqrt (1.15 * total area)] — a strong starting point for
-    the annealer. *)
-val create_shelves : (int * int) array -> t
-
 val size : t -> int
 
 (** [width t i] / [height t i] are the current (rotation-aware)
@@ -56,15 +50,23 @@ val swap_blocks : t -> int -> int -> unit
     deterministic for a given move history. No-op when [size t < 2]. *)
 val move_block : t -> rng:Tqec_util.Rng.t -> int -> unit
 
-(** [snapshot t] captures the tree structure; [restore t s] puts it
-    back exactly (used for undoing non-self-inverse moves).  The pack
-    cache survives restores: prefix reuse is validated per step, so a
-    pack after an undo is still bit-identical to a from-scratch pack. *)
-type snapshot
+(** [perturb t ~rng ~rotatable] makes one random annealing move: with
+    probability 1/3 each, rotate a block drawn from [rotatable] (block
+    ids), swap two blocks, or {!move_block} one (a no-op below two
+    blocks).  With [rotatable] empty the draw is between swap and move
+    only.  The draw order is part of every recorded placement: change
+    it and placements change.  Apart from the RNG's own draws it
+    allocates nothing. *)
+val perturb : t -> rng:Tqec_util.Rng.t -> rotatable:int array -> unit
 
-val snapshot : t -> snapshot
-
-val restore : t -> snapshot -> unit
+(** [undo t] reverts the last {!perturb} exactly, from a single-level
+    undo held in arrays preallocated inside [t]; a second [undo] is a
+    no-op.  A reverted [move_block] rebuilds the free-arity set in
+    ascending slot order, so later [move_block] draws see that order.
+    The pack cache survives an undo: prefix reuse is validated per step,
+    so a pack after an undo is still bit-identical to a from-scratch
+    pack.  Allocates nothing. *)
+val undo : t -> unit
 
 (** [pack t] computes the placement: per-block lower-left (x, y) and the
     bounding (width, height). *)

@@ -21,17 +21,19 @@ type t = {
   mutable undo_len : int;
 }
 
+(* An indexed loop keeps the four bounds in registers; refs captured by
+   an [Array.iter] closure would be boxed on every call. *)
 let net_span (net : int array) ~(xs : int array) ~(ys : int array) =
   let x0 = ref max_int and x1 = ref min_int in
   let y0 = ref max_int and y1 = ref min_int in
-  Array.iter
-    (fun n ->
-      let x = xs.(n) and y = ys.(n) in
-      if x < !x0 then x0 := x;
-      if x > !x1 then x1 := x;
-      if y < !y0 then y0 := y;
-      if y > !y1 then y1 := y)
-    net;
+  for k = 0 to Array.length net - 1 do
+    let v = net.(k) in
+    let x = xs.(v) and y = ys.(v) in
+    if x < !x0 then x0 := x;
+    if x > !x1 then x1 := x;
+    if y < !y0 then y0 := y;
+    if y > !y1 then y1 := y
+  done;
   if !x1 < !x0 then 0 else !x1 - !x0 + (!y1 - !y0)
 
 let compute_xy nets ~xs ~ys =

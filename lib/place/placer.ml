@@ -50,7 +50,7 @@ type t = {
   sa_stats : Sa.stats;
 }
 
-(* Iteration budget: a move costs one full repack, roughly 40*n simple
+(* Iteration budget: a move costs one full repack, roughly 30*n simple
    operations, so derive the move count from an operation budget. *)
 let iterations_for effort n =
   let budget =
@@ -204,9 +204,11 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
   in
   (* One independent annealing trajectory.  Packing is double-buffered:
      a move packs into the spare buffer, so a rejected move restores
-     positions by flipping back — no per-move array allocation.  The
-     wirelength term is maintained incrementally: only nets incident to
-     nodes whose position actually changed are re-evaluated. *)
+     positions by flipping back.  The wirelength term is maintained
+     incrementally: only nets incident to nodes whose position actually
+     changed are re-evaluated.  The best-so-far snapshot copies into
+     preallocated buffers, and the undo closure is built once per
+     trajectory rather than once per move. *)
   let anneal_start rng =
     let tree = Bstar_tree.create dims in
     let xs = [| Array.make n 0; Array.make n 0 |] in
@@ -221,44 +223,28 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
       (config.alpha *. float_of_int (w * h * depth))
       +. (config.beta *. float_of_int (Hpwl_cache.total cache))
     in
-    (* best snapshot *)
-    let snapshot_pos () =
-      Array.init n (fun i -> (xs.(!cur).(i), ys.(!cur).(i)))
-    in
-    let best_pos = ref (snapshot_pos ()) in
-    let best_rot = ref (Array.init n (Bstar_tree.is_rotated tree)) in
+    let best_xs = Array.copy xs.(0) and best_ys = Array.copy ys.(0) in
+    let best_rot = Array.make n false in
     let best_wh = ref !cur_wh in
     let on_best _ =
-      best_pos := snapshot_pos ();
-      best_rot := Array.init n (Bstar_tree.is_rotated tree);
+      let cur_xs = xs.(!cur) and cur_ys = ys.(!cur) in
+      for i = 0 to n - 1 do
+        best_xs.(i) <- cur_xs.(i);
+        best_ys.(i) <- cur_ys.(i);
+        best_rot.(i) <- Bstar_tree.is_rotated tree i
+      done;
       best_wh := !cur_wh
     in
+    let prev_wh = ref !cur_wh in
+    let undo () =
+      Bstar_tree.undo tree;
+      Hpwl_cache.restore cache;
+      cur := 1 - !cur;
+      cur_wh := !prev_wh
+    in
     let perturb () =
-      let undo_structural =
-        match
-          if Array.length rotatable_ids = 0 then 1 + Rng.int rng 2
-          else Rng.int rng 3
-        with
-        | 0 ->
-            let b = rotatable_ids.(Rng.int rng (Array.length rotatable_ids)) in
-            Bstar_tree.rotate tree b;
-            fun () -> Bstar_tree.rotate tree b
-        | 1 ->
-            let a = Rng.int rng n and b = Rng.int rng n in
-            Bstar_tree.swap_blocks tree a b;
-            fun () -> Bstar_tree.swap_blocks tree a b
-        | _ ->
-            if n < 2 then fun () -> ()
-            else begin
-              (* a move is not self-inverse: snapshot the tree structure
-                 and restore it exactly on rejection *)
-              let snapshot = Bstar_tree.snapshot tree in
-              let b = Rng.int rng n in
-              Bstar_tree.move_block tree ~rng b;
-              fun () -> Bstar_tree.restore tree snapshot
-            end
-      in
-      let prev_wh = !cur_wh in
+      Bstar_tree.perturb tree ~rng ~rotatable:rotatable_ids;
+      prev_wh := !cur_wh;
       let prev_xs = xs.(!cur) and prev_ys = ys.(!cur) in
       let next = 1 - !cur in
       let next_xs = xs.(next) and next_ys = ys.(next) in
@@ -274,14 +260,15 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
       done;
       Hpwl_cache.update cache ~xs:next_xs ~ys:next_ys ~changed
         ~n_changed:!n_changed;
-      fun () ->
-        undo_structural ();
-        Hpwl_cache.restore cache;
-        cur := 1 - !cur;
-        cur_wh := prev_wh
+      undo
     in
     let st = Sa.create ~rng ~params ~cost ~perturb ~on_best () in
-    (st, fun () -> (Sa.stats st, !best_pos, !best_rot, !best_wh))
+    ( st,
+      fun () ->
+        ( Sa.stats st,
+          Array.init n (fun i -> (best_xs.(i), best_ys.(i))),
+          best_rot,
+          !best_wh ) )
   in
   (* Adaptive multi-start: K independent trajectories with per-lane rng
      streams derived from the seed before the fan-out — always lane id,

@@ -7,15 +7,6 @@ type params = {
   initial_acceptance : float;
 }
 
-let default_params ~size =
-  let size = max 1 size in
-  {
-    iterations = Tqec_util.Stats.clamp 2_000 200_000 (size * 60);
-    moves_per_temp = Tqec_util.Stats.clamp 20 400 (size * 2);
-    cooling = 0.93;
-    initial_acceptance = 0.85;
-  }
-
 type stats = {
   attempted : int;
   accepted : int;
@@ -46,8 +37,12 @@ let create ~rng ~params ~cost ~perturb ?(on_best = fun _ -> ()) () =
   let best = ref !current in
   on_best !best;
   (* Probe phase: estimate the average uphill delta to set T0 so that
-     the initial acceptance probability matches the target. *)
-  let probe_moves = min 50 (max 10 (params.iterations / 100)) in
+     the initial acceptance probability matches the target.  Probe moves
+     count against [params.iterations], so a budget below ten is still
+     a ceiling. *)
+  let probe_moves =
+    min params.iterations (min 50 (max 10 (params.iterations / 100)))
+  in
   let uphill_sum = ref 0. and uphill_count = ref 0 in
   for _ = 1 to probe_moves do
     let undo = perturb () in

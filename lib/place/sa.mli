@@ -17,14 +17,11 @@
     exactly like the main loop. *)
 
 type params = {
-  iterations : int;  (** total move attempts *)
+  iterations : int;  (** total move attempts, probe phase included *)
   moves_per_temp : int;
   cooling : float;  (** geometric factor in (0, 1) *)
   initial_acceptance : float;  (** probe-phase target, e.g. 0.85 *)
 }
-
-(** [default_params ~size] scales the budget with problem size. *)
-val default_params : size:int -> params
 
 type stats = {
   attempted : int;

@@ -57,12 +57,6 @@ let test_sa_stats_sane () =
   check Alcotest.bool "temperature decayed" true
     (stats.Sa.final_temperature > 0.)
 
-let test_sa_default_params () =
-  let p = Sa.default_params ~size:10 in
-  check Alcotest.bool "iterations positive" true (p.Sa.iterations > 0);
-  check Alcotest.bool "cooling in range" true
-    (p.Sa.cooling > 0. && p.Sa.cooling < 1.)
-
 (* The stepper contract behind adaptive multi-start: advancing a
    trajectory in arbitrary chunks is bit-identical to one uninterrupted
    run. *)
@@ -116,15 +110,6 @@ let test_bstar_pack_no_overlap () =
        (fun (x, y) (bw, bh) -> x >= 0 && y >= 0 && x + bw <= w && y + bh <= h)
        pos dims)
 
-let test_bstar_shelves_quality () =
-  (* shelves should pack 16 unit squares into area close to 16 *)
-  let dims = Array.make 16 (2, 2) in
-  let t = Bstar_tree.create_shelves dims in
-  check Alcotest.(list string) "tree consistent" [] (Bstar_tree.check t);
-  let pos, (w, h) = Bstar_tree.pack t in
-  check Alcotest.bool "no overlap" false (Bstar_tree.overlaps pos dims);
-  check Alcotest.bool "dense" true (w * h <= 100)
-
 let test_bstar_rotate () =
   let dims = dims_of_list [ (5, 1); (5, 1) ] in
   let t = Bstar_tree.create dims in
@@ -134,20 +119,22 @@ let test_bstar_rotate () =
   check Alcotest.int "width after rotate" 1 (Bstar_tree.width t 0);
   check Alcotest.int "height after rotate" 5 (Bstar_tree.height t 0)
 
-let test_bstar_snapshot_restore () =
-  let dims = Array.make 8 (2, 3) in
+(* Every move kind, undone, packs back to the same placement; a second
+   undo is a no-op. *)
+let test_bstar_perturb_undo () =
+  let dims = Array.init 8 (fun i -> (2 + (i mod 3), 3)) in
   let t = Bstar_tree.create dims in
   let rng = Rng.create 3 in
-  let before = fst (Bstar_tree.pack t) in
-  let snap = Bstar_tree.snapshot t in
-  for _ = 1 to 10 do
-    Bstar_tree.move_block t ~rng (Rng.int rng 8);
-    Bstar_tree.rotate t (Rng.int rng 8)
-  done;
-  Bstar_tree.restore t snap;
-  check Alcotest.(list string) "consistent after restore" [] (Bstar_tree.check t);
-  let after = fst (Bstar_tree.pack t) in
-  check Alcotest.bool "same packing restored" true (before = after)
+  let rotatable = Array.init 8 Fun.id in
+  for _ = 1 to 30 do
+    Bstar_tree.perturb t ~rng ~rotatable;
+    let before = Bstar_tree.pack t in
+    Bstar_tree.perturb t ~rng ~rotatable;
+    Bstar_tree.undo t;
+    Bstar_tree.undo t;
+    check Alcotest.(list string) "consistent after undo" [] (Bstar_tree.check t);
+    check Alcotest.bool "same packing restored" true (before = Bstar_tree.pack t)
+  done
 
 let prop_bstar_moves_preserve_invariants =
   QCheck.Test.make ~name:"bstar moves keep tree consistent and non-overlapping"
@@ -234,26 +221,13 @@ let prop_pack_incremental_matches_reference =
       let t = Bstar_tree.create dims in
       let xs = Array.make n 0 and ys = Array.make n 0 in
       let ok = ref (assert_pack_matches_reference t xs ys) in
+      let rotatable = Array.init n Fun.id in
       for _ = 1 to 500 do
-        let undo =
-          match Rng.int rng 3 with
-          | 0 ->
-              let b = Rng.int rng n in
-              Bstar_tree.rotate t b;
-              fun () -> Bstar_tree.rotate t b
-          | 1 ->
-              let a = Rng.int rng n and b = Rng.int rng n in
-              Bstar_tree.swap_blocks t a b;
-              fun () -> Bstar_tree.swap_blocks t a b
-          | _ ->
-              let snap = Bstar_tree.snapshot t in
-              Bstar_tree.move_block t ~rng (Rng.int rng n);
-              fun () -> Bstar_tree.restore t snap
-        in
+        Bstar_tree.perturb t ~rng ~rotatable;
         if not (assert_pack_matches_reference t xs ys) then ok := false;
         if Rng.bool rng then begin
-          (* reject: the cache must survive the restore *)
-          undo ();
+          (* reject: the cache must survive the undo *)
+          Bstar_tree.undo t;
           if not (assert_pack_matches_reference t xs ys) then ok := false
         end;
         if Bstar_tree.check t <> [] then ok := false
@@ -316,27 +290,14 @@ let prop_hpwl_cache_matches_scratch =
       let cache = Hpwl_cache.create ~n_nodes:n nets in
       ignore (Hpwl_cache.rebuild cache ~xs:xs.(0) ~ys:ys.(0));
       let changed = Array.make n 0 in
+      let rotatable = Array.init n Fun.id in
       let ok = ref true in
       let agree () =
         Hpwl_cache.total cache
         = Hpwl_cache.compute_xy nets ~xs:xs.(!cur) ~ys:ys.(!cur)
       in
       for _ = 1 to 1000 do
-        let undo_structural =
-          match Rng.int rng 3 with
-          | 0 ->
-              let b = Rng.int rng n in
-              Bstar_tree.rotate tree b;
-              fun () -> Bstar_tree.rotate tree b
-          | 1 ->
-              let a = Rng.int rng n and b = Rng.int rng n in
-              Bstar_tree.swap_blocks tree a b;
-              fun () -> Bstar_tree.swap_blocks tree a b
-          | _ ->
-              let snapshot = Bstar_tree.snapshot tree in
-              Bstar_tree.move_block tree ~rng (Rng.int rng n);
-              fun () -> Bstar_tree.restore tree snapshot
-        in
+        Bstar_tree.perturb tree ~rng ~rotatable;
         let prev_xs = xs.(!cur) and prev_ys = ys.(!cur) in
         let next = 1 - !cur in
         let next_xs = xs.(next) and next_ys = ys.(next) in
@@ -355,7 +316,7 @@ let prop_hpwl_cache_matches_scratch =
         if not (agree ()) then ok := false;
         (* randomly reject the move, as the annealer would *)
         if Rng.bool rng then begin
-          undo_structural ();
+          Bstar_tree.undo tree;
           Hpwl_cache.restore cache;
           cur := 1 - !cur;
           if not (agree ()) then ok := false
@@ -794,6 +755,101 @@ let prop_partition_well_formed =
       Array.for_all (fun g -> Array.length g > 0 && Array.length g <= cap) parts
       && Array.for_all (fun c -> c = 1) seen)
 
+(* ------------------------------------------------------------------ *)
+(* Annealer goldens and budgets                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The placer inputs [Pipeline.run] builds for a [Dual_only] run: no
+   I-shape, and every flipping point its own chain. *)
+let dual_only_inputs ?(factor = 1) name =
+  let entry =
+    match Suite.find name with
+    | Some e -> e
+    | None -> Alcotest.failf "no suite benchmark %s" name
+  in
+  let icm = Decompose.run (Clifford_t.decompose (Suite.scaled ~factor entry)) in
+  let g = Pd_graph.of_icm icm in
+  let time_sms = Super_module.time_sm_modules g in
+  let in_sm = Hashtbl.create 16 in
+  List.iter (fun (_, ms) -> List.iter (fun m -> Hashtbl.replace in_sm m ()) ms) time_sms;
+  let f = Flipping.run ~rng:(Rng.create 42) ~exclude:(Hashtbl.mem in_sm) g in
+  let flipping =
+    { f with Flipping.chains = List.map (fun (rep, _) -> [ rep ]) f.Flipping.points }
+  in
+  let dual = Dual_bridge.run g in
+  (g, flipping, dual, Fvalue.plan flipping)
+
+(* Seed 42 and normal effort, as the pipeline's defaults. *)
+let place_dual_only ?(restarts = 1) ?partition ~cap (g, flipping, dual, fvalue) =
+  let config =
+    { Placer.default_config with effort = Placer.Normal; seed = 42; restarts;
+      jobs = Some 1; partition; sa_moves_cap = Some cap }
+  in
+  Placer.place ~config g flipping dual fvalue
+
+(* Everything the annealer decides: positions, rotations, extents and
+   the move statistics (the best cost in exact hex). *)
+let placement_digest (p : Placer.t) =
+  let b = Buffer.create 4096 in
+  Array.iter (fun (x, y) -> Printf.bprintf b "%d,%d;" x y) p.Placer.node_pos;
+  Array.iter (fun r -> Buffer.add_char b (if r then 'r' else '.')) p.Placer.rotated;
+  let st = p.Placer.sa_stats in
+  Printf.bprintf b "|%dx%d|%d/%d|%h" p.Placer.width p.Placer.height
+    st.Sa.attempted st.Sa.accepted st.Sa.best_cost;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digests recorded before the move kernels became allocation-free: a
+   pass proves every RNG draw and every packed position is unchanged. *)
+let test_golden_placements () =
+  let inputs = dual_only_inputs "4gt10-v1_81" in
+  let single = place_dual_only ~cap:12_000 inputs in
+  check Alcotest.int "4gt10-v1_81 dual-only nodes" 262
+    (Array.length single.Placer.node_pos);
+  check Alcotest.string "single trajectory, 262 nodes"
+    "532219b83dd18259d065494b72e746ce" (placement_digest single);
+  let multi = place_dual_only ~restarts:3 ~cap:4_000 inputs in
+  check Alcotest.bool "a lane stopped early" true
+    (multi.Placer.sa_stats.Sa.attempted < 3 * 4_000);
+  check Alcotest.string "restarts = 3 with early stopping"
+    "731ce072670575453d6b5d6108eead1e" (placement_digest multi);
+  let parts = place_dual_only ~partition:24 ~cap:2_000 inputs in
+  check Alcotest.string "partition = Some 24"
+    "6c410d9be37c79b2343fdaf99829ebe5" (placement_digest parts)
+
+(* [Sa.create]'s probe phase counts against the budget: a moves cap is a
+   hard ceiling even below the probe's usual ten moves. *)
+let test_moves_cap_is_ceiling () =
+  let inputs = dual_only_inputs ~factor:16 "4gt10-v1_81" in
+  for cap = 1 to 12 do
+    for restarts = 1 to 2 do
+      let p = place_dual_only ~restarts ~cap inputs in
+      let attempted = p.Placer.sa_stats.Sa.attempted in
+      check Alcotest.bool
+        (Printf.sprintf "cap %d x %d restarts: %d attempted" cap restarts attempted)
+        true
+        (attempted <= cap * restarts)
+    done
+  done
+
+(* Marginal words allocated per annealing move on a 262-node tree: the
+   difference of two runs cancels the fixed set-up allocations. *)
+let words_per_move_bound = 64.
+
+let test_move_allocation () =
+  let inputs = dual_only_inputs "4gt10-v1_81" in
+  let words cap =
+    let minor0, promoted0, major0 = Gc.counters () in
+    let p = place_dual_only ~cap inputs in
+    let minor1, promoted1, major1 = Gc.counters () in
+    check Alcotest.int "ran the whole budget" cap p.Placer.sa_stats.Sa.attempted;
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let per = (words 15_000 -. words 5_000) /. 10_000. in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f words per move <= %.0f" per words_per_move_bound)
+    true
+    (per <= words_per_move_bound)
+
 let prop_placer_valid_on_random =
   QCheck.Test.make ~name:"placement valid on random circuits" ~count:10
     (QCheck.int_range 1 500)
@@ -808,15 +864,13 @@ let suites =
       [
         Alcotest.test_case "minimizes quadratic" `Quick test_sa_minimizes_quadratic;
         Alcotest.test_case "stats sane" `Quick test_sa_stats_sane;
-        Alcotest.test_case "default params" `Quick test_sa_default_params;
         Alcotest.test_case "stepper = run" `Quick test_sa_stepper_matches_run;
       ] );
     ( "place.bstar",
       [
         Alcotest.test_case "pack no overlap" `Quick test_bstar_pack_no_overlap;
-        Alcotest.test_case "shelves quality" `Quick test_bstar_shelves_quality;
         Alcotest.test_case "rotate" `Quick test_bstar_rotate;
-        Alcotest.test_case "snapshot/restore" `Quick test_bstar_snapshot_restore;
+        Alcotest.test_case "perturb/undo" `Quick test_bstar_perturb_undo;
         qtest prop_bstar_moves_preserve_invariants;
         qtest prop_bstar_pack_compact_bottom_left;
         qtest prop_pack_incremental_matches_reference;
@@ -844,6 +898,10 @@ let suites =
         Alcotest.test_case "adaptive early stop" `Quick
           test_placer_early_stop;
         Alcotest.test_case "force-directed" `Quick test_placer_force_directed;
+        Alcotest.test_case "golden placements" `Quick test_golden_placements;
+        Alcotest.test_case "moves cap is a ceiling" `Quick
+          test_moves_cap_is_ceiling;
+        Alcotest.test_case "allocation per move" `Quick test_move_allocation;
         qtest prop_placer_valid_on_random;
       ] );
     ( "place.partition",
