@@ -276,10 +276,61 @@ let corridor_cache_stress () =
   warm.Pathfinder.success && cache_invariant && jobs_invariant && accounted
   && grows = 0 && pipeline_hits > 0 && pipeline_invariant
 
+(* Router counters are jobs-invariant on the corridor path too: batch
+   workers search the live grid at every worker count, so the corridor
+   cache certifies — and the counters record — the same lookups,
+   searches and heap traffic at jobs=1 and jobs=4.  Only
+   [scratch_grows] may differ, because each domain warms its own A*
+   scratch.  tier-x1 at a corridor threshold of 64 cells negotiates
+   through several batch iterations, with corridor hits among them. *)
+let corridor_counters () =
+  let module Counters = Tqec_route.Counters in
+  let run jobs =
+    match Tqec_circuit.Generator.tier_of_name "tier-x1" with
+    | None -> None
+    | Some circuit ->
+        Counters.reset ();
+        ignore
+          (Pipeline.run
+             ~config:
+               {
+                 Pipeline.default_config with
+                 effort = Tqec_place.Placer.Quick;
+                 seed;
+                 jobs;
+                 corridor_cells = Some 64;
+               }
+             circuit);
+        Some { (Counters.stats ()) with Counters.scratch_grows = 0 }
+  in
+  let show = function
+    | None -> "no tier-x1"
+    | Some s ->
+        Printf.sprintf
+          "hits=%d misses=%d stale=%d coarse=%d fine=%d flat=%d fallbacks=%d \
+           astar-pops=%d astar-pushes=%d"
+          s.Counters.cache_hits s.Counters.cache_misses s.Counters.cache_stale
+          s.Counters.coarse_searches s.Counters.fine_searches
+          s.Counters.flat_searches s.Counters.flat_fallbacks
+          s.Counters.astar_pops s.Counters.astar_pushes
+  in
+  let one = run (Some 1) in
+  let four = run (Some 4) in
+  let invariant = one <> None && one = four in
+  Printf.printf "[route-stress] corridor-counters  jobs-invariant=%b %s\n%!"
+    invariant (show one);
+  if not invariant then
+    Printf.eprintf
+      "[route-stress]   error: tier-x1 router counters differ between \
+       jobs=1 (%s) and jobs=4 (%s)\n%!"
+      (show one) (show four);
+  invariant
+
 let () =
   let ok = List.fold_left (fun acc name -> run_one name && acc) true benchmarks in
   let ok = sparse_substrate () && ok in
   let ok = corridor_cache_stress () && ok in
+  let ok = corridor_counters () && ok in
   if ok then print_endline "[route-stress] all geometries legal"
   else begin
     prerr_endline "[route-stress] FAILED";

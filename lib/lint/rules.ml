@@ -4,15 +4,15 @@
 
 (* --- race: mutation inside a pool-closure window ------------------- *)
 
-(* Heuristic closure window: from a [Pool.map]/[Pool.run]/[Pool.async]
-   token, the window is the first parenthesized group opening on the
-   same or the next line (in practice the inline closure argument),
-   through its matching close paren.  A call whose tasks are named
-   functions opens no window.  Inside the window, mutation tokens are
-   race candidates: the write may run on any worker domain concurrently
-   with its siblings.  The audit may sit at the mutation site or at the
-   [Pool.*] call that opens the window. *)
-let race_entry_points = [ "Pool.map"; "Pool.run"; "Pool.async" ]
+(* Heuristic closure window: from a [Pool.map] token, the window is the
+   first parenthesized group opening on the same or the next line (in
+   practice the inline closure argument), through its matching close
+   paren.  A call whose tasks are named functions opens no window.
+   Inside the window, mutation tokens are race candidates: the write
+   may run on any worker domain concurrently with its siblings.  The
+   audit may sit at the mutation site or at the [Pool.map] call that
+   opens the window. *)
+let race_entry_points = [ "Pool.map" ]
 let race_mutations = [ ":="; "<-"; "Hashtbl.replace"; "Hashtbl.add" ]
 
 let race_sites (lx : Lexer.t) =
@@ -164,9 +164,8 @@ let all =
          [ "Obj.magic"; "Marshal.*"; "Random.self_init"; "Array.unsafe_*" ]);
     Rule.make ~id:"race" ~marker:"race:" ~before:3
       ~doc:
-        "mutation tokens (:=, <-, Hashtbl.replace/add) inside a \
-         Pool.map/Pool.run/Pool.async closure window: shared-state writes \
-         on concurrent pool tasks"
+        "mutation tokens (:=, <-, Hashtbl.replace/add) inside a Pool.map \
+         closure window: shared-state writes on concurrent pool tasks"
       ~advice:
         "mutation inside a pool closure; make the task pure (return the \
          value) or audit the synchronization by name with `race:`"

@@ -23,13 +23,13 @@ val create_scratch : unit -> scratch
     [avoid_used], cells already at capacity are treated as blocked, so a
     found path can never create overuse (the cleanup mode of the
     negotiation loop).  [exclude] lists cells priced as if their usage
-    were one lower ({!Grid.probe} with [dusage = -1]) — the
-    searching net's own current route, so a shared read-only view costs
-    a re-route exactly like ripping the net up first; it biases cost
-    only and does not interact with the [avoid_used] passability test
-    (the negotiation loop never combines the two).  [scratch] reuses a
-    caller-owned workspace instead of allocating fresh arrays; results
-    are identical either way. *)
+    were one lower ({!Grid.probe} with [dusage = -1]) — the searching
+    net's own current route, so a search over a grid that still holds
+    that route costs a re-route exactly like ripping the net up first;
+    it biases cost only and does not interact with the [avoid_used]
+    passability test (the negotiation loop never combines the two).
+    [scratch] reuses a caller-owned workspace instead of allocating
+    fresh arrays; results are identical either way. *)
 val search :
   ?scratch:scratch ->
   ?max_expansions:int ->

@@ -13,8 +13,8 @@ val cache_hits : int Atomic.t
 (** Corridor-cache lookups that skipped the coarse tile-graph search. *)
 
 val cache_misses : int Atomic.t
-(** Lookups that ran the coarse search: no entry, wrong grid object, or
-    generation-stale (the latter also counted in {!cache_stale}). *)
+(** Lookups that ran the coarse search: no entry, or a stale one (the
+    latter also counted in {!cache_stale}). *)
 
 val cache_stale : int Atomic.t
 (** Subset of {!cache_misses}: an entry existed for the key but a tile

@@ -81,15 +81,9 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
 (* bit-identical with the cache on or off, for any worker count; only  *)
 (* the work saved differs.                                             *)
 (*                                                                     *)
-(* Entries also pin the grid OBJECT they were computed against         *)
-(* (physical equality): generations are a per-grid timeline, so a      *)
-(* stamp taken against the live grid means nothing to the shared       *)
-(* parallel-phase view and vice versa.                                 *)
-(*                                                                     *)
 (* Tables are per-net: a net is routed by exactly one pool task per    *)
-(* iteration, so its table is never touched concurrently; commit       *)
-(* barriers ([Pool.map]/[Pool.await]) order accesses across            *)
-(* iterations.                                                         *)
+(* iteration, so its table is never touched concurrently; the          *)
+(* [Pool.map] completion barrier orders accesses across iterations.    *)
 (*                                                                     *)
 (* A generation stamp alone would self-invalidate on every reroute:    *)
 (* the net's own claim (+1 along its path) and the rip-up that         *)
@@ -124,11 +118,8 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
 (* its route bookkeeping can no longer be trusted, so it could never   *)
 (* certify again anyway, and dropping it keeps the table — and every   *)
 (* later bracket's pre-pass — sized by the live entries instead of     *)
-(* the run's history.  Entries pinned to a different grid object (the  *)
-(* parallel-phase view) can likewise never match a live-grid lookup    *)
-(* again and are dropped by the same post-pass. *)
+(* the run's history. *)
 type cache_entry = {
-  c_grid : Grid.t;
   mutable c_commit : int;
   mutable c_excl : Vec3.t list;
   mutable c_keep : bool;
@@ -150,10 +141,10 @@ type corridor_cache = (int list * int * Box3.t, cache_entry) Hashtbl.t
 (* ([Grid.tile_free]) of the one-tile slab beyond each of the six      *)
 (* faces and divide the budget proportionally, so the window grows     *)
 (* toward under-used volume first.  Deterministic integer arithmetic   *)
-(* over tile summaries the searching grid already agrees on across     *)
-(* workers — jobs-invariant by the same argument as the searches       *)
-(* themselves.  Returns [None] when every slab is exhausted (callers   *)
-(* fall back to the uniform schedule). *)
+(* over the searched grid's tile summaries — jobs-invariant by the     *)
+(* same argument as the searches themselves.  Returns [None] when      *)
+(* every slab is exhausted (callers fall back to the uniform           *)
+(* schedule). *)
 let guided_widen grid ~margin region =
   let tdx, tdy, tdz = Grid.tile_dims grid in
   let lo = (Grid.box grid).Box3.lo in
@@ -221,9 +212,9 @@ let guided_widen grid ~margin region =
 
 (* Route one net as a Steiner tree; returns its cell set (or None when a
    pin is unreachable even with the widest region).  Only reads [grid] —
-   in the parallel phase it runs against an immutable shared view, with
-   the net's own current route priced out via [exclude] (a -1 usage bias
-   inside A*, exactly equivalent to ripping the net up first). *)
+   in a batch iteration the net is still claimed there, so its own
+   current route is priced out via [exclude] (a -1 usage bias inside A*,
+   exactly equivalent to ripping the net up first). *)
 let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
     ?(cache : corridor_cache option) grid ~penalty ~margin (n : net) =
   match dedup_cells n.pins with
@@ -323,8 +314,7 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
                 let key = (key_tiles, Grid.tile_index grid pin, region) in
                 match Hashtbl.find_opt tbl key with
                 | Some e
-                  when e.c_grid == grid && e.c_commit >= 0
-                       && e.c_excl == exclude
+                  when e.c_excl == exclude
                        && Grid.region_unchanged_since grid ~since:e.c_commit
                             region ->
                     Atomic.incr Counters.cache_hits;
@@ -347,9 +337,8 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
                            the coarse just consumed grid-minus-[exclude],
                            and [exclude] is the net's current route *)
                         Hashtbl.replace tbl key
-                          { c_grid = grid; c_commit = stamp;
-                            c_excl = exclude; c_keep = false;
-                            c_corridor = corridor };
+                          { c_commit = stamp; c_excl = exclude;
+                            c_keep = false; c_corridor = corridor };
                         Astar.fine_in_corridor ~avoid_used ~exclude scratch
                           grid ~corridor ~region ~penalty ~sources:!tree
                           ~target:pin))
@@ -410,69 +399,38 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
       done;
       if !ok then Some (List.rev !tree) else None
 
-(* Negotiated congestion with a snapshot/commit iteration (parallel
-   PathFinder): every iteration freezes the grid's congestion state,
-   routes the nets under negotiation concurrently against that stale
-   view (each with its own previous route priced out), then rips up and
-   commits their claims serially in deterministic net order.  Conflicts
-   the stale view hides from the concurrent searches surface as overuse
-   at commit and are renegotiated on the next iteration.  Because every
-   net is routed against the same view and the commit order is the
-   (deterministic) net order, the trajectory is bit-identical for any
-   worker count — including fully serial runs.
+(* Negotiated congestion with batch/commit iterations (parallel
+   PathFinder): a batch iteration routes the nets under negotiation
+   concurrently against the congestion state as it stood at the top of
+   the iteration (each with its own previous route priced out), then
+   rips up and commits their claims serially in deterministic net order.
+   Conflicts the frozen state hides from the concurrent searches surface
+   as overuse at commit and are renegotiated on the next iteration.
+   Because every net is routed against the same state and the commit
+   order is the (deterministic) net order, the trajectory is
+   bit-identical for any worker count — including fully serial runs.
 
-   The view itself is built and kept current off the critical path: one
-   copy of the congestion arrays is made as a pool task that overlaps
-   the first (serial) routing iteration, every cell the serial/commit
-   phases write is recorded, and an end-of-iteration patch of exactly
-   those cells brings the view back to "live grid, now" — so steady
-   state does O(cells touched) fix-up work per iteration instead of the
-   per-worker O(volume) copies the first parallel version made. *)
+   The frozen state is the live grid itself, with no copy: during the
+   batch's [Pool.map], [route_net] only reads [grid] ([Grid.probe], the
+   tile summaries, [Grid.generation] and [Grid.region_unchanged_since]).
+   Its writes go only to the per-domain A* scratch ([Domain.DLS]), the
+   net's own corridor-cache table (one task per net) and atomic
+   counters.  [Pool.map]'s submit and completion barrier orders the
+   commit loop's writes before and after the batch. *)
 let route_all grid config nets =
   let jobs =
     match config.jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
   let routes : (int, Vec3.t list) Hashtbl.t = Hashtbl.create 64 in
-  (* Shared stale view, incrementally maintained.  [touched] records
-     every live-grid cell written since the view last agreed with the
-     grid; [sync_view] patches exactly those.  The initial [Grid.view]
-     copy races the first iteration's commits by design: any slot it
-     catches mid-write belongs to a recorded cell, so the patch heals
-     it (see the [Grid.view] contract). *)
-  let snap = ref None in
-  let snap_fill = ref None in
-  let recording = ref false in
-  let touched = ref [] in
-  let record c = if !recording then touched := c :: !touched in
-  let sync_view () =
-    (match !snap_fill with
-    | Some pr ->
-        snap := Some (Pool.await pr);
-        snap_fill := None
-    | None -> ());
-    match !snap with
-    | Some v ->
-        List.iter (fun c -> Grid.patch_cell ~src:grid ~dst:v c) !touched;
-        touched := []
-    | None -> touched := []
-  in
   let rip_up net_id =
     match Hashtbl.find_opt routes net_id with
     | None -> ()
     | Some cells ->
-        List.iter
-          (fun c ->
-            Grid.add_usage grid c (-1);
-            record c)
-          cells;
+        List.iter (fun c -> Grid.add_usage grid c (-1)) cells;
         Hashtbl.remove routes net_id
   in
   let claim net_id cells =
-    List.iter
-      (fun c ->
-        Grid.add_usage grid c 1;
-        record c)
-      cells;
+    List.iter (fun c -> Grid.add_usage grid c 1) cells;
     Hashtbl.replace routes net_id cells
   in
   let unrouted = ref [] in
@@ -490,8 +448,8 @@ let route_all grid config nets =
      routed by exactly one pool task per iteration, so a task only ever
      mutates its own net's table, and the outer table is read-only
      after this point ([Hashtbl.find_opt] from concurrent tasks is
-     safe).  Entries self-invalidate via the grid-object pin and the
-     summary generations — see the [corridor_cache] contract. *)
+     safe).  Entries self-invalidate via the summary generations — see
+     the [corridor_cache] contract. *)
   let caches =
     if config.corridor_cache then begin
       let t = Hashtbl.create 64 in
@@ -507,7 +465,7 @@ let route_all grid config nets =
   in
   (* Rip/claim brackets maintaining the [c_commit]/[c_excl] equation
      (see the cache contract above).  Each bracket is a pre-pass over
-     the net's live-grid entries, the usage mutation itself, and a
+     the net's entries, the usage mutation itself, and a
      post-pass; the grid is quiescent across each bracket (these run
      only in the serial phases and the serialized batch-commit loop).
      [excl_after] is the net's route object right after the mutation:
@@ -522,26 +480,23 @@ let route_all grid config nets =
            the order entries are visited in *)
         Hashtbl.iter
           (fun (_, _, region) e ->
-            if e.c_grid == grid then
-              e.c_keep <-
-                e.c_commit >= 0
-                && Grid.region_unchanged_since grid ~since:e.c_commit region)
+            e.c_keep <-
+              Grid.region_unchanged_since grid ~since:e.c_commit region)
           tbl;
         mutate ();
         let now = Grid.generation grid in
         (* Entries that fail the pre-pass can never certify again (the
-           window moved for good), and entries pinned to a retired view
-           can never match a future lookup's grid — both are deleted
-           rather than poisoned.  A multi-pin net mints fresh keys every
-           iteration as its routed tree changes, so keeping dead entries
-           would grow the table — and with it every later bracket's
-           pre-pass — linearly in iterations. *)
+           window moved for good), so they are deleted rather than
+           poisoned.  A multi-pin net mints fresh keys every iteration as
+           its routed tree changes, so keeping dead entries would grow
+           the table — and with it every later bracket's pre-pass —
+           linearly in iterations. *)
         let dead = ref [] in
         (* hash-order: same argument — order-independent per-entry
            writes; the dead list only feeds unordered removals *)
         Hashtbl.iter
           (fun k e ->
-            if e.c_grid == grid && e.c_keep then begin
+            if e.c_keep then begin
               e.c_commit <- now;
               e.c_excl <- excl_after
             end
@@ -551,7 +506,7 @@ let route_all grid config nets =
   in
   let rip net = bracket net [] (fun () -> rip_up net.net_id) in
   let claim_net net cells = bracket net cells (fun () -> claim net.net_id cells) in
-  (* Snapshot routing can sustain a lock-step oscillation: two symmetric
+  (* Batch routing can sustain a lock-step oscillation: two symmetric
      nets avoiding each other's stale position swap cells forever, each
      move depositing history on both alternatives equally.  Serial
      incremental rerouting is immune (the second net reacts to the
@@ -563,14 +518,6 @@ let route_all grid config nets =
   let stagnation_limit = 3 in
   let best_overused = ref max_int in
   let stagnant = ref 0 in
-  (* Parallel iterations are possible only when the negotiation set is
-     big enough to ever escape the serial cutoff; only then is the view
-     worth building.  Start the copy now — it overlaps the entire first
-     serial iteration (searches and commits). *)
-  if jobs > 1 && List.length nets > serial_batch_cutoff then begin
-    recording := true;
-    snap_fill := Some (Pool.async (fun () -> Grid.view grid))
-  end;
   while (not !finished) && !iterations_used < config.max_iterations do
     incr iterations_used;
     let batch = Array.of_list !route_set in
@@ -585,7 +532,7 @@ let route_all grid config nets =
          incrementally (each net sees every earlier commitment) exactly
          like classic serial PathFinder — a blind first-iteration batch
          measurably degrades final volume.  Small or stagnating conflict
-         batches take the same path to break snapshot oscillations.  This
+         batches take the same path to break batch oscillations.  This
          phase is sequential for every worker count, so determinism is
          free. *)
       Array.iter
@@ -599,44 +546,20 @@ let route_all grid config nets =
           | None -> still_unrouted := n.net_id :: !still_unrouted)
         batch
     else begin
-      let exclude_of n =
-        match Hashtbl.find_opt routes n.net_id with
-        | Some cells -> cells
-        | None -> []
+      (* pin the old routes down before fanning out: tasks must not
+         read the mutable [routes] table *)
+      let work =
+        Array.map
+          (fun n ->
+            (n, Option.value ~default:[] (Hashtbl.find_opt routes n.net_id)))
+          batch
       in
       let found =
-        if jobs = 1 || Array.length batch <= 1 then
-          (* single worker: the live grid is immutable until the commit
-             phase below, so it doubles as the frozen view — no copy *)
-          Array.map
-            (fun n ->
-              route_net ~corridor_cells:config.corridor_cells
-                ?cache:(cache_of n) grid ~exclude:(exclude_of n)
-                ~penalty:penalty_now ~margin n)
-            batch
-        else begin
-          let v =
-            match !snap with
-            | Some v -> v
-            | None ->
-                (* Defensive: a parallel batch can only follow a synced
-                   serial iteration, but if the view is missing, build
-                   it here — the grid is quiescent at this point. *)
-                recording := true;
-                let v = Grid.view grid in
-                snap := Some v;
-                v
-          in
-          (* pin the old routes down before fanning out: tasks must not
-             read the mutable [routes] table *)
-          let excludes = Array.map exclude_of batch in
-          Pool.map ~jobs
-            (fun (i, n) ->
-              route_net ~corridor_cells:config.corridor_cells
-                ?cache:(cache_of n) v ~exclude:excludes.(i)
-                ~penalty:penalty_now ~margin n)
-            (Array.mapi (fun i n -> (i, n)) batch)
-        end
+        Pool.map ~jobs
+          (fun (n, exclude) ->
+            route_net ~corridor_cells:config.corridor_cells
+              ?cache:(cache_of n) grid ~exclude ~penalty:penalty_now ~margin n)
+          work
       in
       (* commit serially, in batch order: commit order, not completion
          order, decides the trajectory *)
@@ -661,9 +584,7 @@ let route_all grid config nets =
     if overused = [] && !unrouted = [] then finished := true
     else begin
       List.iter
-        (fun c ->
-          Grid.add_history grid c config.history_increment;
-          record c)
+        (fun c -> Grid.add_history grid c config.history_increment)
         overused;
       penalty := !penalty + config.penalty_growth;
       (* negotiate only where it matters: re-route just the nets that
@@ -679,18 +600,8 @@ let route_all grid config nets =
             | Some cells -> List.exists (Hashtbl.mem hot) cells
             | None -> true)
           nets
-    end;
-    (* Bring the shared view back in sync with the live grid (and land
-       the overlapped initial copy after the first iteration).  Doing
-       this even on the final iteration retires the fill task before
-       the cleanup phase mutates the grid unwatched. *)
-    if !recording then sync_view ()
+    end
   done;
-  (* cleanup below routes on the live grid only — retire any pending
-     fill (max_iterations = 0 edge) and stop paying for maintenance *)
-  if !recording then sync_view ();
-  recording := false;
-  snap := None;
   (* Endgame cleanup: negotiation can oscillate between net pairs on a
      handful of cells.  Resolve each residual conflict deterministically:
      hard-block the contested cells and reroute the smallest involved

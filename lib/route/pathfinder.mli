@@ -9,14 +9,15 @@
     grows; the loop ends when no cell is overused or the iteration
     budget is exhausted.
 
-    Iterations follow the snapshot/commit recipe of parallel PathFinder:
-    the nets under negotiation are ripped up, routed concurrently over
-    {!Tqec_util.Pool} against a frozen snapshot of the congestion state,
-    and committed serially in deterministic net order.  Conflicts hidden
-    by the frozen snapshot surface as overuse at commit time and are
-    renegotiated next iteration, so the trajectory — routes, iteration
-    count and residual overuse — is bit-identical for every worker
-    count. *)
+    Iterations after the first follow the batch/commit recipe of
+    parallel PathFinder: the nets under negotiation are routed
+    concurrently over {!Tqec_util.Pool} against the congestion state as
+    it stood at the top of the iteration (the grid itself, which nothing
+    writes until the batch is done), then ripped up and committed
+    serially in deterministic net order.  Conflicts hidden by the frozen
+    state surface as overuse at commit time and are renegotiated next
+    iteration, so the trajectory — routes, iteration count and residual
+    overuse — is bit-identical for every worker count. *)
 
 type net = { net_id : int; pins : Tqec_util.Vec3.t list }
 

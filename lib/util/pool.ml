@@ -8,12 +8,12 @@
    owner, so nested fork-join stays depth-first), tasks submitted from
    any other domain go through a mutex-protected FIFO injector, and
    idle workers pull injector work or steal from randomly chosen
-   victims.  A caller blocked on {!map}/{!await} *helps* — it drains
-   its own deque, the injector, and victims' deques until its batch
-   completes — so nested parallelism composes without adding domains:
-   suite instances × annealing lanes × routing batches all feed one
-   pool, and a 1-worker pool can still run a jobs=8 nested workload
-   without deadlock.
+   victims.  A caller blocked on {!map} *helps* — it drains its own
+   deque, the injector, and victims' deques until its batch completes —
+   so nested parallelism composes without adding domains: suite
+   instances × annealing lanes × routing batches all feed one pool, and
+   a 1-worker pool can still run a jobs=8 nested workload without
+   deadlock.
 
    Determinism: the scheduler decides only *where and when* tasks run.
    Each {!map} result is written into the slot of its submission index,
@@ -33,8 +33,8 @@
 
 (* env-read: call-time capture — re-read on every call, never frozen at
    module load, so a long-running daemon sees updates and per-request
-   [jobs] overrides (which all pool entry points accept) bypass it
-   entirely.  Worker count never changes results, only speed. *)
+   [jobs] overrides (which [map] accepts) bypass it entirely.  Worker
+   count never changes results, only speed. *)
 let default_jobs () =
   match Sys.getenv_opt "TQEC_JOBS" with
   | Some s -> (
@@ -171,8 +171,8 @@ let find_task p ~self ~seed =
 
 (* ---- worker main loop ------------------------------------------- *)
 
-(* Submitted tasks never raise: every submission front wraps the user
-   function and captures the outcome (see [map]/[async]). *)
+(* Submitted tasks never raise: [map] wraps the user function and
+   captures the outcome. *)
 let rec worker_loop p w seed =
   match find_task p ~self:(Some w) ~seed with
   | Some task ->
@@ -375,38 +375,6 @@ let map ?pool ?jobs f arr =
         results
     end
   end
-
-let run ?pool ?jobs thunks = map ?pool ?jobs (fun thunk -> thunk ()) thunks
-
-(* ---- single-task futures ---------------------------------------- *)
-
-type 'a promise = {
-  apool : t;
-  cell : ('a, exn * Printexc.raw_backtrace) result option Atomic.t;
-}
-
-let async ?pool f =
-  let p = get_pool pool in
-  (* One worker is enough for overlap; a 0-worker pool (or a failed
-     spawn) just defers the task to [await], which runs it inline. *)
-  ensure_workers p 1;
-  let cell = Atomic.make None in
-  submit p (fun () ->
-      let r =
-        try Ok (f ()) with e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      Atomic.set cell (Some r);
-      wake p);
-  { apool = p; cell }
-
-let await pr =
-  help pr.apool ~until:(fun () ->
-      match Atomic.get pr.cell with Some _ -> true | None -> false);
-  match Atomic.get pr.cell with
-  | Some (Ok v) -> v
-  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-  (* partial: [help ~until] returns only once the cell is filled *)
-  | None -> assert false
 
 (* ---- observability ---------------------------------------------- *)
 

@@ -2,13 +2,13 @@
     [Atomic] + [Mutex]/[Condition], no dependencies).
 
     Worker domains are spawned once and parked on a condition variable
-    when idle; {!map}/{!run}/{!async} are submission fronts onto
-    per-worker Chase–Lev deques plus a FIFO injector for external
-    callers.  A blocked parent helps by draining tasks instead of
-    sleeping, so nested parallelism composes: suite instances ×
-    annealing restart lanes × routing batches all feed one pool, and no
-    combination of nested [map]s can deadlock — even on a pool with
-    zero workers, where the caller simply runs everything itself.
+    when idle; {!map} submits onto per-worker Chase–Lev deques plus a
+    FIFO injector for external callers.  A blocked parent helps by
+    draining tasks instead of sleeping, so nested parallelism composes:
+    suite instances × annealing restart lanes × routing batches all
+    feed one pool, and no combination of nested [map]s can deadlock —
+    even on a pool with zero workers, where the caller simply runs
+    everything itself.
 
     Determinism: the scheduler only chooses where and when tasks run.
     Results land in submission-index order and the lowest-index failure
@@ -51,24 +51,6 @@ val shutdown : t -> unit
     backtrace, matching what the serial path would have thrown first.
     A [Domain.spawn] failure degrades to fewer workers. *)
 val map : ?pool:t -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [run ?pool ?jobs thunks] forces an array of thunks in parallel. *)
-val run : ?pool:t -> ?jobs:int -> (unit -> 'a) array -> 'a array
-
-type 'a promise
-(** A single in-flight task (see {!async}). *)
-
-(** [async ?pool f] submits [f] to run concurrently with the caller and
-    returns immediately.  On a pool without workers the task simply
-    waits for {!await}, which runs it inline — overlap is best-effort,
-    completion is guaranteed. *)
-val async : ?pool:t -> (unit -> 'a) -> 'a promise
-
-(** [await pr] returns the promise's value, helping with pool work
-    (including the promised task itself) while it is pending.  Re-raises
-    the task's exception with its original backtrace if it failed.  Must
-    be called exactly once. *)
-val await : 'a promise -> 'a
 
 (** Scheduler counters, cumulative since pool creation.  [executed]
     counts tasks run anywhere (workers and helping callers), [stolen]

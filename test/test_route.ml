@@ -106,32 +106,14 @@ let prop_grid_overused_incremental =
       in
       Grid.overused g = brute && Grid.overused_count g = List.length brute)
 
-(* A snapshot freezes the congestion state: mutations of the live grid
-   must not leak into it, and vice versa. *)
-let test_grid_snapshot_isolated () =
-  let g = grid10 () in
-  Grid.add_usage g (vec 1 1 1) 2;
-  Grid.add_history g (vec 4 4 4) 3;
-  let s = Grid.snapshot g in
-  Grid.add_usage g (vec 1 1 1) (-2);
-  Grid.add_usage g (vec 2 2 2) 5;
-  Grid.add_history g (vec 4 4 4) 7;
-  check Alcotest.int "snapshot usage frozen" 2 (Grid.usage s (vec 1 1 1));
-  check Alcotest.int "snapshot other cell" 0 (Grid.usage s (vec 2 2 2));
-  check Alcotest.int "snapshot history frozen" 3 (Grid.history s (vec 4 4 4));
-  check Alcotest.int "snapshot overused frozen" 1 (Grid.overused_count s);
-  Grid.add_usage s (vec 7 7 7) 9;
-  check Alcotest.int "live grid unaffected" 0 (Grid.usage g (vec 7 7 7))
-
 (* The sparse chunked grid against a dense mirror of its semantics:
-   random usage/history/shared trajectories — including a racy-view
-   lifecycle (view, keep mutating, patch every written cell) — must
-   agree cell-for-cell on usage, history and enter_cost, and on the
-   [overused] list in value AND order.  The box spans several tiles per
-   axis with a non-zero, non-tile-aligned origin, so tile and offset
-   arithmetic is exercised on both sides of every boundary. *)
+   random usage/history/shared trajectories must agree cell-for-cell on
+   usage, history and enter_cost, and on the [overused] list in value
+   AND order.  The box spans several tiles per axis with a non-zero,
+   non-tile-aligned origin, so tile and offset arithmetic is exercised
+   on both sides of every boundary. *)
 let prop_grid_sparse_vs_dense_oracle =
-  QCheck.Test.make ~name:"sparse grid matches dense oracle (with view/patch)"
+  QCheck.Test.make ~name:"sparse grid matches dense oracle"
     ~count:40
     (QCheck.int_range 1 10_000)
     (fun seed ->
@@ -153,8 +135,7 @@ let prop_grid_sparse_vs_dense_oracle =
       let rand_cell () =
         vec (3 + Rng.int rng nx) (-5 + Rng.int rng ny) (2 + Rng.int rng nz)
       in
-      let touched = ref [] in
-      let step record =
+      let step () =
         let c = rand_cell () in
         let i = idx c in
         (match Rng.int rng 5 with
@@ -164,32 +145,20 @@ let prop_grid_sparse_vs_dense_oracle =
         | 1 ->
             if Grid.usage g c > 0 then begin
               Grid.add_usage g c (-1);
-              o_usage.(i) <- o_usage.(i) - 1;
-              if record then touched := c :: !touched
+              o_usage.(i) <- o_usage.(i) - 1
             end
         | 2 ->
             let d = 1 + Rng.int rng 3 in
             Grid.add_history g c d;
-            o_hist.(i) <- o_hist.(i) + d;
-            if record then touched := c :: !touched
+            o_hist.(i) <- o_hist.(i) + d
         | _ ->
             let d = 1 + Rng.int rng 2 in
             Grid.add_usage g c d;
-            o_usage.(i) <- o_usage.(i) + d;
-            if record then touched := c :: !touched);
-        ()
+            o_usage.(i) <- o_usage.(i) + d)
       in
-      for _ = 1 to 150 do
-        step false
+      for _ = 1 to 300 do
+        step ()
       done;
-      (* single-threaded view: an exact copy at this instant; the cells
-         mutated afterwards are recorded and patched, after which the
-         view must equal the live grid everywhere *)
-      let v = Grid.view g in
-      for _ = 1 to 150 do
-        step true
-      done;
-      List.iter (fun c -> Grid.patch_cell ~src:g ~dst:v c) !touched;
       let agree c =
         let i = idx c in
         let expected_cost penalty =
@@ -203,9 +172,6 @@ let prop_grid_sparse_vs_dense_oracle =
         && Grid.history g c = o_hist.(i)
         && Grid.is_shared g c = o_shared.(i)
         && Grid.enter_cost g ~penalty:3 c = expected_cost 3
-        && Grid.usage v c = o_usage.(i)
-        && Grid.history v c = o_hist.(i)
-        && Grid.enter_cost v ~penalty:3 c = expected_cost 3
       in
       let brute =
         List.filter
@@ -218,7 +184,7 @@ let prop_grid_sparse_vs_dense_oracle =
 
 (* Generation counters behind the corridor cache: every summary
    mutation bumps exactly the touched tile's generation — no other
-   tile's, and nothing on pure reads or snapshot/view — and
+   tile's, and nothing on pure reads — and
    [region_unchanged_since] answers from those stamps.  A random
    mutation trajectory is checked step by step against an oracle that
    predicts whether a bump must happen ([add_usage]/[add_history] with
@@ -285,50 +251,7 @@ let prop_grid_generation_tracking =
         if Grid.tile_index g far <> ti then
           expect (Grid.region_unchanged_since g ~since:stamp (Box3.of_cell far))
       done;
-      (* snapshot and view never bump the source; the snapshot inherits
-         the source's timeline at the split, the view starts a fresh
-         zero timeline (stamps taken against a view are valid against
-         that view alone) *)
-      let before = gens () in
-      let stamp = Grid.generation g in
-      let s = Grid.snapshot g in
-      let v = Grid.view g in
-      expect (gens () = before && Grid.generation g = stamp);
-      expect (Grid.generation s = stamp);
-      expect (Grid.generation v = 0 && Grid.region_unchanged_since v ~since:0 box);
-      (* patch_cell bumps the destination's touched tile only when it
-         changes what the summaries report: patching a cell the source
-         just changed invalidates, re-patching the now-equal cell does
-         not (rip-up + identical reclaim must keep corridors cached
-         against the destination valid) *)
-      let c = rand_cell () in
-      Grid.add_usage g c 1;
-      let vstamp = Grid.generation v in
-      Grid.patch_cell ~src:g ~dst:v c;
-      expect (Grid.generation v > vstamp);
-      expect (not (Grid.region_unchanged_since v ~since:vstamp (Box3.of_cell c)));
-      let vstamp = Grid.generation v in
-      Grid.patch_cell ~src:g ~dst:v c;
-      expect (Grid.generation v = vstamp);
       !ok)
-
-(* Satellite of the sparse-grid PR: the long-documented "views answer
-   cost queries only" contract is now enforced instead of silently
-   returning an empty overuse set. *)
-let test_grid_view_rejects_overuse_queries () =
-  let g = grid10 () in
-  Grid.add_usage g (vec 1 1 1) 2;
-  let v = Grid.view g in
-  check Alcotest.int "cost queries still served" 2 (Grid.usage v (vec 1 1 1));
-  (match Grid.overused v with
-  | _ -> Alcotest.fail "overused on a view must raise"
-  | exception Invalid_argument _ -> ());
-  (match Grid.overused_count v with
-  | _ -> Alcotest.fail "overused_count on a view must raise"
-  | exception Invalid_argument _ -> ());
-  (* snapshots keep the full interface *)
-  check Alcotest.int "snapshot still answers" 1
-    (Grid.overused_count (Grid.snapshot g))
 
 let test_grid_mem_tracks_touched_tiles () =
   let g = Grid.create (Box3.make (vec 0 0 0) (vec 63 63 63)) in
@@ -1196,11 +1119,8 @@ let suites =
         Alcotest.test_case "obstacles" `Quick test_grid_obstacles;
         Alcotest.test_case "shared cells" `Quick test_grid_shared;
         Alcotest.test_case "overused" `Quick test_grid_overused;
-        Alcotest.test_case "snapshot isolated" `Quick test_grid_snapshot_isolated;
         Alcotest.test_case "die cost" `Quick test_grid_die_cost;
         Alcotest.test_case "probe" `Quick test_grid_probe;
-        Alcotest.test_case "view rejects overuse queries" `Quick
-          test_grid_view_rejects_overuse_queries;
         Alcotest.test_case "mem tracks touched tiles" `Quick
           test_grid_mem_tracks_touched_tiles;
         qtest prop_grid_overused_incremental;

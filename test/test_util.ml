@@ -375,10 +375,8 @@ let test_pool_map_order () =
         true (got = expected))
     [ 1; 2; 4; 8 ]
 
-let test_pool_map_empty_and_run () =
-  check Alcotest.int "empty map" 0 (Array.length (Pool.map ~jobs:4 succ [||]));
-  let results = Pool.run ~jobs:3 (Array.init 5 (fun i () -> i * 10)) in
-  check Alcotest.bool "run results" true (results = [| 0; 10; 20; 30; 40 |])
+let test_pool_map_empty () =
+  check Alcotest.int "empty map" 0 (Array.length (Pool.map ~jobs:4 succ [||]))
 
 let test_pool_exception_propagates () =
   let raised =
@@ -548,18 +546,6 @@ let test_pool_spawn_error_surfaced () =
   check Alcotest.bool "global pool healthy" true
     ((Pool.stats ()).Pool.spawn_error = None)
 
-let test_pool_async_await () =
-  let p = Pool.async (fun () -> 6 * 7) in
-  check Alcotest.int "await returns" 42 (Pool.await p);
-  (* awaiting again returns the memoised value *)
-  check Alcotest.int "await idempotent" 42 (Pool.await p);
-  let q = Pool.async (fun () -> failwith "late") in
-  let raised = try ignore (Pool.await q); false with Failure m -> m = "late" in
-  check Alcotest.bool "await re-raises" true raised;
-  (* async composes with map running on the same scheduler *)
-  let r = Pool.async (fun () -> Array.fold_left ( + ) 0 (Pool.map ~jobs:4 succ (Array.init 10 (fun i -> i)))) in
-  check Alcotest.int "async over nested map" 55 (Pool.await r)
-
 let test_pool_jobs_invariance_combined () =
   (* the jobs-invariance contract on a composed workload: an outer map
      (suite instances) over inner maps with data-dependent sizes
@@ -670,7 +656,7 @@ let suites =
     ( "util.pool",
       [
         Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
-        Alcotest.test_case "empty map and run" `Quick test_pool_map_empty_and_run;
+        Alcotest.test_case "empty map" `Quick test_pool_map_empty;
         Alcotest.test_case "exception propagates" `Quick
           test_pool_exception_propagates;
         Alcotest.test_case "failure runs all, pool reusable" `Quick
@@ -686,7 +672,6 @@ let suites =
           test_pool_nested_exception;
         Alcotest.test_case "helper drains without workers" `Quick
           test_pool_helper_drains_without_workers;
-        Alcotest.test_case "async/await" `Quick test_pool_async_await;
         Alcotest.test_case "spawn error surfaced in stats" `Quick
           test_pool_spawn_error_surfaced;
         Alcotest.test_case "combined jobs invariance" `Quick
