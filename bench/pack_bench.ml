@@ -1,19 +1,25 @@
-(* Micro-benchmark for the incremental repack: the annealer's exact
-   perturb/pack/undo pattern over a 128-block tree, every block
-   rotatable. *)
+(* Micro-benchmark for the annealer's move path: perturb, full repack in
+   place, and on a rejection the tree undo plus the positions put back
+   from the repack's moved-block log, over a tree of [n] blocks, every
+   block rotatable.  The checksum sums the packed extents of every move,
+   so it pins the whole draw sequence; given an expected checksum, a
+   mismatch exits 1.
+
+   dune exec bench/pack_bench.exe -- [n] [moves] [expected-checksum] *)
 module Bstar_tree = Tqec_place.Bstar_tree
 module Rng = Tqec_util.Rng
 
-(* Absent argv slots and non-numeric input both fall back to defaults;
-   match the two exceptions by name rather than swallowing everything. *)
-let argv_int i default =
+(* An absent argv slot and non-numeric input both read as [None]; match
+   the two exceptions by name rather than swallowing everything. *)
+let argv_int i =
   match int_of_string Sys.argv.(i) with
-  | v -> v
-  | exception (Invalid_argument _ | Failure _) -> default
+  | v -> Some v
+  | exception (Invalid_argument _ | Failure _) -> None
 
 let () =
-  let n = argv_int 1 128 in
-  let moves = argv_int 2 120_000 in
+  let n = Option.value (argv_int 1) ~default:128 in
+  let moves = Option.value (argv_int 2) ~default:120_000 in
+  let expected = argv_int 3 in
   let dims =
     Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
   in
@@ -28,8 +34,16 @@ let () =
     Bstar_tree.perturb t ~rng ~rotatable;
     let w, h = Bstar_tree.pack_xy t xs ys in
     acc := !acc + w + h;
-    if Rng.bool rng then Bstar_tree.undo t
+    if Rng.bool rng then begin
+      Bstar_tree.undo t;
+      Bstar_tree.unpack t xs ys
+    end
   done;
   Printf.printf "%d blocks, %d moves: %.3fs (checksum %d)\n" n moves
     (Unix.gettimeofday () -. t0)
-    !acc
+    !acc;
+  match expected with
+  | Some e when e <> !acc ->
+      Printf.eprintf "pack_bench: checksum %d, expected %d\n" !acc e;
+      exit 1
+  | _ -> ()

@@ -1,10 +1,5 @@
 module Rng = Tqec_util.Rng
 
-(* The skyline is checkpointed every [cp_interval] DFS steps; an
-   incremental repack replays at most [cp_interval - 1] cached
-   placements to rebuild the contour at the divergence point. *)
-let cp_interval = 8
-
 (* Tree slots form the binary tree; each slot holds a block id.  Moves
    permute block ids across slots, so [pack] can report positions per
    block id and callers keep stable identities. *)
@@ -25,38 +20,31 @@ type t = {
   free : int array;
   free_pos : int array; (* slot -> index in [free], -1 if absent *)
   mutable free_len : int;
-  (* flat skyline scratch: breakpoints (sorted x, segment height) *)
-  sk_x : int array;
-  sk_y : int array;
-  mutable sk_len : int;
+  (* dense contour: the highest placed top over each x column, sized
+     for every block side by side on its longer side.  A pack zeroes
+     only the [contour_w] columns the previous pack wrote. *)
+  contour : int array;
+  mutable contour_w : int;
   (* DFS slot stack *)
   st_slot : int array;
   st_x : int array;
-  (* --- incremental repack cache: the last pack as a DFS-step record.
-     A prefix of steps whose (block, x0, w, h) tuples are unchanged
-     packs to exactly the same positions and contour, so the next pack
-     reuses it and restarts the skyline from a checkpoint. *)
-  mutable c_valid : int; (* cached steps (0 before the first pack) *)
-  c_block : int array; (* by DFS step *)
-  c_x : int array;
-  c_w : int array; (* effective (rotation-applied) dims at pack time *)
-  c_h : int array;
-  c_y : int array;
-  (* contour BEFORE step j * cp_interval, row-major *)
-  cp_x : int array;
-  cp_y : int array;
-  cp_len : int array;
+  (* moved-block log of the last pack: each block whose (x, y) it
+     changed, with the coordinates it overwrote *)
+  mv_id : int array;
+  mv_x : int array;
+  mv_y : int array;
+  mutable mv_len : int;
   (* single-level undo of the last [perturb]: the move kind, its block
-     operands, and for [Relink] the tree links from before the move *)
+     operands, and for [Relink] what [detach] wrote — the slots it
+     swapped block ids down (top first) and the parent and side it
+     unlinked the leaf from.  [attach]'s link is found from the leaf. *)
   mutable last : move;
   mutable last_a : int;
   mutable last_b : int;
-  u_block_at : int array;
-  u_slot_of : int array;
-  u_parent : int array;
-  u_left : int array;
-  u_right : int array;
-  mutable u_root : int;
+  path : int array;
+  mutable path_len : int;
+  mutable from_slot : int;
+  mutable from_left : bool;
 }
 
 and move = Nop | Rotate | Swap | Relink
@@ -105,8 +93,7 @@ let rebuild_free t =
 
 let alloc dims =
   let n = Array.length dims in
-  let cp_rows = (n / cp_interval) + 1 in
-  let cp_width = (2 * n) + 2 in
+  let span = Array.fold_left (fun acc (w, h) -> acc + max w h) 0 dims in
   {
     n;
     w = Array.map fst dims;
@@ -121,33 +108,27 @@ let alloc dims =
     free = Array.make n 0;
     free_pos = Array.make n (-1);
     free_len = 0;
-    sk_x = Array.make cp_width 0;
-    sk_y = Array.make cp_width 0;
-    sk_len = 0;
+    contour = Array.make span 0;
+    contour_w = 0;
     st_slot = Array.make (n + 1) 0;
     st_x = Array.make (n + 1) 0;
-    c_valid = 0;
-    c_block = Array.make n 0;
-    c_x = Array.make n 0;
-    c_w = Array.make n 0;
-    c_h = Array.make n 0;
-    c_y = Array.make n 0;
-    cp_x = Array.make (cp_rows * cp_width) 0;
-    cp_y = Array.make (cp_rows * cp_width) 0;
-    cp_len = Array.make cp_rows 0;
+    mv_id = Array.make n 0;
+    mv_x = Array.make n 0;
+    mv_y = Array.make n 0;
+    mv_len = 0;
     last = Nop;
     last_a = 0;
     last_b = 0;
-    u_block_at = Array.make n 0;
-    u_slot_of = Array.make n 0;
-    u_parent = Array.make n 0;
-    u_left = Array.make n 0;
-    u_right = Array.make n 0;
-    u_root = 0;
+    path = Array.make n 0;
+    path_len = 0;
+    from_slot = -1;
+    from_left = false;
   }
 
 let create dims =
   if Array.length dims = 0 then invalid_arg "Bstar_tree.create: no blocks";
+  if Array.exists (fun (w, h) -> w < 1 || h < 1) dims then
+    invalid_arg "Bstar_tree.create: a block side below 1";
   let t = alloc dims in
   let n = t.n in
   (* Initial shape: left-chain spine with right children hung off it in
@@ -181,21 +162,27 @@ let swap_blocks t a b =
 
 (* Detach block [b]: bubble its id down to a leaf slot by swapping with
    child slots' ids, then unlink that leaf slot.  Returns the freed
-   slot. *)
+   slot.  The bubble path and the unlinked side are logged for [undo]. *)
 let detach t b =
   let cursor = ref t.slot_of.(b) in
+  t.path.(0) <- !cursor;
+  t.path_len <- 1;
   while t.left.(!cursor) <> -1 || t.right.(!cursor) <> -1 do
     let child =
       if t.left.(!cursor) <> -1 then t.left.(!cursor) else t.right.(!cursor)
     in
     swap_blocks t t.block_at.(!cursor) t.block_at.(child);
-    cursor := child
+    cursor := child;
+    t.path.(t.path_len) <- child;
+    t.path_len <- t.path_len + 1
   done;
   let leaf = !cursor in
   let p = t.parent.(leaf) in
   (* partial: perturbations only run on >= 2 blocks (Placer gate) *)
   if p = -1 then failwith "Bstar_tree.detach: cannot detach the only block";
-  if t.left.(p) = leaf then t.left.(p) <- -1 else t.right.(p) <- -1;
+  t.from_slot <- p;
+  t.from_left <- t.left.(p) = leaf;
+  if t.from_left then t.left.(p) <- -1 else t.right.(p) <- -1;
   t.parent.(leaf) <- -1;
   (* the freed slot left the tree; its parent (re)gained a free arity *)
   free_remove t leaf;
@@ -226,30 +213,23 @@ let move_block t ~rng b =
     attach t ~rng leaf
   end
 
-(* The undo keeps the tree links in preallocated arrays, copied by int
-   loops: no allocation and no write barrier per move.  The free-arity
-   set is not saved: [undo] rebuilds it in ascending slot order from
-   the restored links — an RNG-visible order (the next [attach] draws
-   from it) that every recorded placement depends on. *)
-let save_links t =
-  for s = 0 to t.n - 1 do
-    t.u_block_at.(s) <- t.block_at.(s);
-    t.u_slot_of.(s) <- t.slot_of.(s);
-    t.u_parent.(s) <- t.parent.(s);
-    t.u_left.(s) <- t.left.(s);
-    t.u_right.(s) <- t.right.(s)
+(* Revert the last [move_block] from detach's log: unhook the leaf from
+   where attach hung it, hang it back on its old parent's side, and undo
+   the bubble swaps last first.  The free-arity set is not logged: it is
+   rebuilt in ascending slot order from the restored links — an
+   RNG-visible order (the next [attach] draws from it) that every
+   recorded placement depends on. *)
+let unmove t =
+  let leaf = t.path.(t.path_len - 1) in
+  let target = t.parent.(leaf) in
+  if t.left.(target) = leaf then t.left.(target) <- -1
+  else t.right.(target) <- -1;
+  if t.from_left then t.left.(t.from_slot) <- leaf
+  else t.right.(t.from_slot) <- leaf;
+  t.parent.(leaf) <- t.from_slot;
+  for k = t.path_len - 1 downto 1 do
+    swap_blocks t t.block_at.(t.path.(k - 1)) t.block_at.(t.path.(k))
   done;
-  t.u_root <- t.root
-
-let load_links t =
-  for s = 0 to t.n - 1 do
-    t.block_at.(s) <- t.u_block_at.(s);
-    t.slot_of.(s) <- t.u_slot_of.(s);
-    t.parent.(s) <- t.u_parent.(s);
-    t.left.(s) <- t.u_left.(s);
-    t.right.(s) <- t.u_right.(s)
-  done;
-  t.root <- t.u_root;
   rebuild_free t
 
 let perturb t ~rng ~rotatable =
@@ -269,7 +249,6 @@ let perturb t ~rng ~rotatable =
   | _ ->
       if t.n < 2 then t.last <- Nop
       else begin
-        save_links t;
         move_block t ~rng (Rng.int rng t.n);
         t.last <- Relink
       end
@@ -279,160 +258,55 @@ let undo t =
   | Nop -> ()
   | Rotate -> rotate t t.last_a
   | Swap -> swap_blocks t t.last_a t.last_b
-  | Relink -> load_links t);
+  | Relink -> unmove t);
   t.last <- Nop
 
 (* ------------------------------------------------------------------ *)
 (* packing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Flat skyline placement on the scratch arrays: sorted breakpoints
-   (x, y); (x, y) means the contour has height y from x to the next
-   breakpoint (the last extends forever).  Returns the base y. *)
-let flat_place t x0 x1 h =
-  let sk_x = t.sk_x and sk_y = t.sk_y in
-  let len = t.sk_len in
-  (* binary search for the first breakpoint at or right of x0 — blocks
-     pack left to right, so a scan from 0 would walk nearly the whole
-     contour on every step *)
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if sk_x.(mid) < x0 then lo := mid + 1 else hi := mid
-  done;
-  let p = !lo in
-  (* base: tallest segment overlapping (x0, x1); y_end: contour height
-     just right of x1.  The segment at p-1 covers x0 unless a breakpoint
-     sits exactly on it; segments in [p, q) are swallowed. *)
-  let base = ref 0 and y_end = ref 0 in
-  if p > 0 && (p = len || sk_x.(p) > x0) then begin
-    let cy = sk_y.(p - 1) in
-    base := cy;
-    y_end := cy
-  end;
-  let q = ref p in
-  while !q < len && sk_x.(!q) <= x1 do
-    let by = sk_y.(!q) in
-    if sk_x.(!q) < x1 && by > !base then base := by;
-    y_end := by;
-    incr q
-  done;
-  (* splice: keep breakpoints left of x0, insert (x0, base+h) and
-     (x1, y_end), keep breakpoints right of x1.  The tail moves by an
-     int loop, not [Array.blit]: the skyline lives in the major heap,
-     where a blit pays the write barrier on every word. *)
-  let tail = len - !q in
-  let shift = p + 2 - !q in
-  if shift < 0 then
-    for k = !q to len - 1 do
-      sk_x.(k + shift) <- sk_x.(k);
-      sk_y.(k + shift) <- sk_y.(k)
-    done
-  else if shift > 0 then
-    for k = len - 1 downto !q do
-      sk_x.(k + shift) <- sk_x.(k);
-      sk_y.(k + shift) <- sk_y.(k)
-    done;
-  sk_x.(p) <- x0;
-  sk_y.(p) <- !base + h;
-  sk_x.(p + 1) <- x1;
-  sk_y.(p + 1) <- !y_end;
-  t.sk_len <- p + 2 + tail;
-  !base
-
-let flat_reset t =
-  t.sk_x.(0) <- 0;
-  t.sk_y.(0) <- 0;
-  t.sk_len <- 1
-
-let cp_width t = (2 * t.n) + 2
-
-(* Checkpoint copies are int loops for the same reason as the splice. *)
-let flat_save_checkpoint t j =
-  let off = j * cp_width t in
-  for k = 0 to t.sk_len - 1 do
-    t.cp_x.(off + k) <- t.sk_x.(k);
-    t.cp_y.(off + k) <- t.sk_y.(k)
-  done;
-  t.cp_len.(j) <- t.sk_len
-
-let flat_load_checkpoint t j =
-  let off = j * cp_width t in
-  let len = t.cp_len.(j) in
-  for k = 0 to len - 1 do
-    t.sk_x.(k) <- t.cp_x.(off + k);
-    t.sk_y.(k) <- t.cp_y.(off + k)
-  done;
-  t.sk_len <- len
-
-(* Restore the flat contour to its state just before cached step [k]:
-   load the nearest checkpoint at or below [k] and replay the (at most
-   [cp_interval - 1]) cached placements between the two. *)
-let flat_restart t k =
-  if k = 0 then flat_reset t
-  else begin
-    let j = k / cp_interval in
-    flat_load_checkpoint t j;
-    for i = j * cp_interval to k - 1 do
-      ignore (flat_place t t.c_x.(i) (t.c_x.(i) + t.c_w.(i)) t.c_h.(i))
-    done
-  end
-
-(* Incremental repack.  A pack is a fold over the DFS-step sequence of
-   (block, x0, w, h) tuples: the y of step i and the contour after it
-   depend only on steps 0..i.  So the longest prefix of tuples equal to
-   the cached previous pack keeps its cached positions verbatim; the
-   skyline restarts at the first divergent step — from the nearest
-   checkpoint plus a short replay — and only the suffix is re-placed.
-   The cache always describes the latest pack, even one the annealer
-   later rejects: prefix equality is checked tuple by tuple, so a stale
-   suffix can never be reused by accident. *)
+(* The one pack loop: a full repack in DFS (preorder) order.  A block's
+   y is the highest contour column under its x-range, and its top then
+   fills that range.  A column so holds the highest top of the placed
+   blocks covering it, and y is the highest top among the placed blocks
+   whose x-range the block overlaps — [pack_reference]'s rule.  Every
+   block whose coordinates in [xs]/[ys] change is logged with the ones
+   it overwrote. *)
 let pack_xy t xs ys =
-  let max_w = ref 0 and max_h = ref 0 in
-  let diverged = ref false in
+  let contour = t.contour in
+  for x = 0 to t.contour_w - 1 do
+    contour.(x) <- 0
+  done;
+  let max_w = ref 0 and max_h = ref 0 and moved = ref 0 in
   let st_slot = t.st_slot and st_x = t.st_x in
   st_slot.(0) <- t.root;
   st_x.(0) <- 0;
   let sp = ref 1 in
-  let i = ref 0 in
   while !sp > 0 do
     decr sp;
     let slot = st_slot.(!sp) and x0 = st_x.(!sp) in
     let b = t.block_at.(slot) in
-    let w = width t b and h = height t b in
-    if
-      (not !diverged)
-      && !i < t.c_valid
-      && t.c_block.(!i) = b
-      && t.c_x.(!i) = x0
-      && t.c_w.(!i) = w
-      && t.c_h.(!i) = h
-    then begin
-      (* unchanged prefix: cached position, no skyline work *)
-      let y = t.c_y.(!i) in
+    let x1 = x0 + width t b in
+    let y = ref 0 in
+    for x = x0 to x1 - 1 do
+      let c = contour.(x) in
+      if c > !y then y := c
+    done;
+    let y = !y in
+    let top = y + height t b in
+    for x = x0 to x1 - 1 do
+      contour.(x) <- top
+    done;
+    if xs.(b) <> x0 || ys.(b) <> y then begin
+      t.mv_id.(!moved) <- b;
+      t.mv_x.(!moved) <- xs.(b);
+      t.mv_y.(!moved) <- ys.(b);
+      incr moved;
       xs.(b) <- x0;
-      ys.(b) <- y;
-      if x0 + w > !max_w then max_w := x0 + w;
-      if y + h > !max_h then max_h := y + h
-    end
-    else begin
-      if not !diverged then begin
-        diverged := true;
-        flat_restart t !i
-      end;
-      if !i mod cp_interval = 0 then flat_save_checkpoint t (!i / cp_interval);
-      let y = flat_place t x0 (x0 + w) h in
-      t.c_block.(!i) <- b;
-      t.c_x.(!i) <- x0;
-      t.c_w.(!i) <- w;
-      t.c_h.(!i) <- h;
-      t.c_y.(!i) <- y;
-      xs.(b) <- x0;
-      ys.(b) <- y;
-      if x0 + w > !max_w then max_w := x0 + w;
-      if y + h > !max_h then max_h := y + h
+      ys.(b) <- y
     end;
-    incr i;
+    if x1 > !max_w then max_w := x1;
+    if top > !max_h then max_h := top;
     if t.right.(slot) <> -1 then begin
       st_slot.(!sp) <- t.right.(slot);
       st_x.(!sp) <- x0;
@@ -440,12 +314,24 @@ let pack_xy t xs ys =
     end;
     if t.left.(slot) <> -1 then begin
       st_slot.(!sp) <- t.left.(slot);
-      st_x.(!sp) <- x0 + w;
+      st_x.(!sp) <- x1;
       incr sp
     end
   done;
-  t.c_valid <- !i;
+  t.contour_w <- !max_w;
+  t.mv_len <- !moved;
   (!max_w, !max_h)
+
+let moved t = t.mv_id
+let n_moved t = t.mv_len
+
+let unpack t xs ys =
+  for k = 0 to t.mv_len - 1 do
+    let b = t.mv_id.(k) in
+    xs.(b) <- t.mv_x.(k);
+    ys.(b) <- t.mv_y.(k)
+  done;
+  t.mv_len <- 0
 
 let pack_into t pos =
   let xs = Array.make t.n 0 and ys = Array.make t.n 0 in
@@ -462,7 +348,7 @@ let pack t =
 
 (* Brute-force O(n^2) reference packer: the same DFS, but each block's y
    is the max top of the already-placed blocks its x-interval overlaps.
-   No contour, no cache — the differential-test oracle for [pack_xy]. *)
+   No contour — the differential-test oracle for [pack_xy]. *)
 let pack_reference t =
   let n = t.n in
   let pos = Array.make n (0, 0) in

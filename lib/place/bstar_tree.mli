@@ -1,19 +1,19 @@
-(** B*-tree floorplan representation with contour (skyline) packing.
+(** B*-tree floorplan representation with contour packing.
 
     The classic admissible-placement representation: a binary tree over
     blocks; in packing (preorder), the left child of a block sits
     immediately to its right ([x = parent.x + parent.w]) and the right
     child directly above it at the same x; the y coordinate comes from a
-    skyline contour.  Every tree reachable by the perturbation moves
-    packs to a left/bottom-compacted placement.
+    contour.  Every tree reachable by the perturbation moves packs to a
+    left/bottom-compacted placement.
 
-    Packing is incremental: each pack caches its DFS-step sequence
-    (block, x, effective w/h, y) together with contour restart points,
-    and the next pack reuses the longest prefix of steps whose inputs
-    are unchanged — a local move late in the DFS order repacks only the
-    suffix.  The skyline is an allocation-free sorted array of
-    breakpoints, checkpointed every few DFS steps so a restart replays
-    only a handful of cached placements.
+    Every pack is a full repack on a dense contour: one preallocated
+    int array of the highest placed top by x column.  A DFS step reads
+    the maximum over the block's x-range (its y) and fills that range
+    with its top.  The repack writes positions into the caller's
+    buffers in place and logs each block it moved, with the coordinates
+    it overwrote, so the annealer re-evaluates and, on rejection,
+    restores only those blocks.
 
     Blocks carry a footprint (w, h); rotation swaps the two.  The 2.5D
     aspect of the flow (block z-extents) is handled by the placer on
@@ -22,7 +22,8 @@
 type t
 
 (** [create dims] builds an initial balanced tree over blocks with the
-    given (w, h) footprints, in index order. *)
+    given (w, h) footprints, in index order.  Raises [Invalid_argument]
+    on no blocks or a side below 1. *)
 val create : (int * int) array -> t
 
 val size : t -> int
@@ -59,13 +60,13 @@ val move_block : t -> rng:Tqec_util.Rng.t -> int -> unit
     allocates nothing. *)
 val perturb : t -> rng:Tqec_util.Rng.t -> rotatable:int array -> unit
 
-(** [undo t] reverts the last {!perturb} exactly, from a single-level
-    undo held in arrays preallocated inside [t]; a second [undo] is a
-    no-op.  A reverted [move_block] rebuilds the free-arity set in
-    ascending slot order, so later [move_block] draws see that order.
-    The pack cache survives an undo: prefix reuse is validated per step,
-    so a pack after an undo is still bit-identical to a from-scratch
-    pack.  Allocates nothing. *)
+(** [undo t] reverts the last {!perturb}'s tree change exactly, from a
+    single-level undo held in [t]: a rotation or swap is made again, and
+    a [move_block] is replayed backwards from a log of the block-id
+    swaps and link writes it made.  A second [undo] is a no-op.  A
+    reverted [move_block] rebuilds the free-arity set in ascending slot
+    order, so later [move_block] draws see that order.  Positions are
+    not touched: {!unpack} reverts the pack.  Allocates nothing. *)
 val undo : t -> unit
 
 (** [pack t] computes the placement: per-block lower-left (x, y) and the
@@ -77,15 +78,30 @@ val pack : t -> (int * int) array * (int * int)
 val pack_into : t -> (int * int) array -> int * int
 
 (** [pack_xy t xs ys] is [pack] writing x and y coordinates into the
-    caller's unboxed int buffers (length [size t]) and returning the
-    bounding (width, height) — the incremental repack used on the
-    annealer's hot path (prefix steps unchanged since the previous pack
-    are served from the cache without touching the contour). *)
+    caller's unboxed int buffers (length [size t]) in place and
+    returning the bounding (width, height) — the annealer's repack.  It
+    logs every block whose (x, y) in the buffers it changed, once each,
+    with the coordinates it overwrote; every pack replaces the log.
+    Allocates nothing. *)
 val pack_xy : t -> int array -> int array -> int * int
 
+(** [moved t] holds the ids of the blocks the last pack moved in its
+    first [n_moved t] entries, in DFS order: the [~changed] buffer of
+    {!Hpwl_cache.update}.  The array belongs to [t]; read it before the
+    next pack. *)
+val moved : t -> int array
+
+val n_moved : t -> int
+
+(** [unpack t xs ys] writes the coordinates the last {!pack_xy}
+    overwrote back into [xs]/[ys] and empties the log — the annealer's
+    rejection path, after {!undo}.  A second [unpack] is a no-op.
+    Allocates nothing. *)
+val unpack : t -> int array -> int array -> unit
+
 (** [pack_reference t] packs with a brute-force O(n^2) per-block overlap
-    scan instead of a contour — no cache, no skyline.  The differential
-    oracle for [pack_xy] in tests. *)
+    scan instead of a contour.  The differential oracle for [pack_xy] in
+    tests. *)
 val pack_reference : t -> (int * int) array * (int * int)
 
 (** [check t] verifies tree-structure invariants (parent/child

@@ -202,35 +202,31 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
       initial_acceptance = 0.85;
     }
   in
-  (* One independent annealing trajectory.  Packing is double-buffered:
-     a move packs into the spare buffer, so a rejected move restores
-     positions by flipping back.  The wirelength term is maintained
-     incrementally: only nets incident to nodes whose position actually
-     changed are re-evaluated.  The best-so-far snapshot copies into
-     preallocated buffers, and the undo closure is built once per
-     trajectory rather than once per move. *)
+  (* One independent annealing trajectory.  A move repacks the whole
+     tree into one pair of coordinate buffers in place; the repack logs
+     the blocks it moved, so the wirelength term re-evaluates only the
+     nets incident to them and a rejected move puts their old
+     coordinates back from the same log.  The best-so-far snapshot
+     copies into preallocated buffers, and the undo closure is built
+     once per trajectory rather than once per move. *)
   let anneal_start rng =
     let tree = Bstar_tree.create dims in
-    let xs = [| Array.make n 0; Array.make n 0 |] in
-    let ys = [| Array.make n 0; Array.make n 0 |] in
-    let cur = ref 0 in
-    let cur_wh = ref (Bstar_tree.pack_xy tree xs.(0) ys.(0)) in
+    let xs = Array.make n 0 and ys = Array.make n 0 in
+    let cur_wh = ref (Bstar_tree.pack_xy tree xs ys) in
     let cache = Hpwl_cache.create ~n_nodes:n nets in
-    ignore (Hpwl_cache.rebuild cache ~xs:xs.(0) ~ys:ys.(0));
-    let changed = Array.make n 0 in
+    ignore (Hpwl_cache.rebuild cache ~xs ~ys);
     let cost () =
       let w, h = !cur_wh in
       (config.alpha *. float_of_int (w * h * depth))
       +. (config.beta *. float_of_int (Hpwl_cache.total cache))
     in
-    let best_xs = Array.copy xs.(0) and best_ys = Array.copy ys.(0) in
+    let best_xs = Array.copy xs and best_ys = Array.copy ys in
     let best_rot = Array.make n false in
     let best_wh = ref !cur_wh in
     let on_best _ =
-      let cur_xs = xs.(!cur) and cur_ys = ys.(!cur) in
       for i = 0 to n - 1 do
-        best_xs.(i) <- cur_xs.(i);
-        best_ys.(i) <- cur_ys.(i);
+        best_xs.(i) <- xs.(i);
+        best_ys.(i) <- ys.(i);
         best_rot.(i) <- Bstar_tree.is_rotated tree i
       done;
       best_wh := !cur_wh
@@ -238,28 +234,16 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
     let prev_wh = ref !cur_wh in
     let undo () =
       Bstar_tree.undo tree;
+      Bstar_tree.unpack tree xs ys;
       Hpwl_cache.restore cache;
-      cur := 1 - !cur;
       cur_wh := !prev_wh
     in
     let perturb () =
       Bstar_tree.perturb tree ~rng ~rotatable:rotatable_ids;
       prev_wh := !cur_wh;
-      let prev_xs = xs.(!cur) and prev_ys = ys.(!cur) in
-      let next = 1 - !cur in
-      let next_xs = xs.(next) and next_ys = ys.(next) in
-      let wh = Bstar_tree.pack_xy tree next_xs next_ys in
-      cur := next;
-      cur_wh := wh;
-      let n_changed = ref 0 in
-      for b = 0 to n - 1 do
-        if next_xs.(b) <> prev_xs.(b) || next_ys.(b) <> prev_ys.(b) then begin
-          changed.(!n_changed) <- b;
-          incr n_changed
-        end
-      done;
-      Hpwl_cache.update cache ~xs:next_xs ~ys:next_ys ~changed
-        ~n_changed:!n_changed;
+      cur_wh := Bstar_tree.pack_xy tree xs ys;
+      Hpwl_cache.update cache ~xs ~ys ~changed:(Bstar_tree.moved tree)
+        ~n_changed:(Bstar_tree.n_moved tree);
       undo
     in
     let st = Sa.create ~rng ~params ~cost ~perturb ~on_best () in

@@ -101,6 +101,9 @@ let dims_of_list l = Array.of_list l
 
 let test_bstar_pack_no_overlap () =
   let dims = dims_of_list [ (3, 2); (2, 2); (4, 1); (1, 5); (2, 3) ] in
+  Alcotest.check_raises "a zero side is rejected"
+    (Invalid_argument "Bstar_tree.create: a block side below 1") (fun () ->
+      ignore (Bstar_tree.create [| (2, 2); (0, 3) |]));
   let t = Bstar_tree.create dims in
   check Alcotest.(list string) "tree consistent" [] (Bstar_tree.check t);
   let pos, (w, h) = Bstar_tree.pack t in
@@ -168,11 +171,11 @@ let prop_bstar_pack_compact_bottom_left =
       (* block 0 is initially the root: packed at the origin *)
       pos.(0) = (0, 0))
 
-(* Differential check of one tree state: the incremental [pack_xy]
-   (whatever its cache holds) must reproduce the brute-force reference
-   packer bit for bit, the packing must be overlap-free, and every block
-   must be bottom-supported (y = 0 or resting exactly on another
-   block's top — the skyline's compactness guarantee). *)
+(* Differential check of one tree state: [pack_xy] must reproduce the
+   brute-force reference packer bit for bit, the packing must be
+   overlap-free, and every block must be bottom-supported (y = 0 or
+   resting exactly on another block's top — the contour's compactness
+   guarantee). *)
 let assert_pack_matches_reference t xs ys =
   let n = Bstar_tree.size t in
   let w, h = Bstar_tree.pack_xy t xs ys in
@@ -203,14 +206,14 @@ let assert_pack_matches_reference t xs ys =
   done;
   !ok
 
-(* The tentpole property: over >= 1000 random move / pack / undo / pack
-   steps, the incremental repack (prefix reuse + contour restart) stays
-   bit-identical to a from-scratch brute-force pack.  Dims are drawn
-   from a small set so block x-intervals frequently abut existing
-   breakpoints exactly. *)
-let prop_pack_incremental_matches_reference =
+(* Over >= 1000 random move / pack / undo / pack steps, the repack stays
+   bit-identical to a from-scratch brute-force pack, also when a move is
+   undone and the tree repacked over the rejected move's positions.
+   Dims are drawn from a small set so block x-ranges often start or end
+   exactly where another block's does. *)
+let prop_repack_matches_reference =
   QCheck.Test.make
-    ~name:"incremental pack = reference over 1000 move/undo steps"
+    ~name:"full repack = reference over 1000 move/undo steps"
     ~count:4
     QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
     (fun (n, seed) ->
@@ -226,7 +229,7 @@ let prop_pack_incremental_matches_reference =
         Bstar_tree.perturb t ~rng ~rotatable;
         if not (assert_pack_matches_reference t xs ys) then ok := false;
         if Rng.bool rng then begin
-          (* reject: the cache must survive the undo *)
+          (* reject, and repack without reverting the positions *)
           Bstar_tree.undo t;
           if not (assert_pack_matches_reference t xs ys) then ok := false
         end;
@@ -234,9 +237,9 @@ let prop_pack_incremental_matches_reference =
       done;
       !ok)
 
-(* Exact-abutment regression: uniform widths make every placement's
-   x-interval land exactly on existing breakpoints. *)
-let test_pack_abutting_breakpoints () =
+(* Uniform footprints: the initial tree packs a grid, and after any move
+   every block's x-range starts and ends exactly where others do. *)
+let test_pack_uniform_footprints () =
   let dims = Array.make 9 (2, 2) in
   let t = Bstar_tree.create dims in
   let xs = Array.make 9 0 and ys = Array.make 9 0 in
@@ -248,6 +251,63 @@ let test_pack_abutting_breakpoints () =
     check Alcotest.bool "still matches after move" true
       (assert_pack_matches_reference t xs ys)
   done
+
+(* The moved-block log over 1000 random perturb / repack / undo steps:
+   after each repack the positions and extents equal the reference; the
+   log lists exactly the blocks whose (x, y) differs from a snapshot
+   taken before the repack, each once, with the coordinates it had
+   there, so [unpack] — after [undo] on a rejection, into a copy on an
+   acceptance — gives the snapshot back bit for bit. *)
+let prop_moved_log_matches_diff =
+  QCheck.Test.make
+    ~name:"moved-block log = diff over 1000 perturb/repack/undo steps"
+    ~count:4
+    QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let dims =
+        Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
+      in
+      let t = Bstar_tree.create dims in
+      let xs = Array.make n 0 and ys = Array.make n 0 in
+      ignore (Bstar_tree.pack_xy t xs ys);
+      let rotatable = Array.init n Fun.id in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 1000 do
+        let snap_xs = Array.copy xs and snap_ys = Array.copy ys in
+        Bstar_tree.perturb t ~rng ~rotatable;
+        let wh = Bstar_tree.pack_xy t xs ys in
+        let rpos, rwh = Bstar_tree.pack_reference t in
+        expect (wh = rwh);
+        Array.iteri (fun b p -> expect ((xs.(b), ys.(b)) = p)) rpos;
+        let moved = Bstar_tree.moved t in
+        let logged =
+          List.sort Int.compare
+            (List.init (Bstar_tree.n_moved t) (fun k -> moved.(k)))
+        in
+        let diff =
+          List.filter
+            (fun b -> xs.(b) <> snap_xs.(b) || ys.(b) <> snap_ys.(b))
+            (List.init n Fun.id)
+        in
+        expect (logged = diff);
+        if Rng.bool rng then begin
+          Bstar_tree.undo t;
+          Bstar_tree.unpack t xs ys;
+          expect (xs = snap_xs && ys = snap_ys);
+          Array.iteri
+            (fun b p -> expect ((xs.(b), ys.(b)) = p))
+            (fst (Bstar_tree.pack_reference t))
+        end
+        else begin
+          let ux = Array.copy xs and uy = Array.copy ys in
+          Bstar_tree.unpack t ux uy;
+          expect (ux = snap_xs && uy = snap_ys)
+        end;
+        expect (Bstar_tree.check t = [])
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Hpwl_cache                                                          *)
@@ -267,10 +327,10 @@ let random_nets rng n =
       in
       Array.of_list (draw [] (min k n)))
 
-(* Drive the cache exactly the way the annealer does: double-buffered
-   pack, diff the buffers for changed nodes, incremental update, random
-   accept/undo — and assert the cached total equals the from-scratch
-   HPWL after every single step. *)
+(* Drive the cache exactly the way the annealer does: repack in place,
+   update from the repack's moved-block log, random accept/undo (the
+   positions reverted from the same log) — and assert the cached total
+   equals the from-scratch HPWL after every single step. *)
 let prop_hpwl_cache_matches_scratch =
   QCheck.Test.make
     ~name:"incremental HPWL = from-scratch over 1000 move/undo steps"
@@ -283,42 +343,26 @@ let prop_hpwl_cache_matches_scratch =
       in
       let nets = random_nets rng n in
       let tree = Bstar_tree.create dims in
-      let xs = [| Array.make n 0; Array.make n 0 |] in
-      let ys = [| Array.make n 0; Array.make n 0 |] in
-      let cur = ref 0 in
-      ignore (Bstar_tree.pack_xy tree xs.(0) ys.(0));
+      let xs = Array.make n 0 and ys = Array.make n 0 in
+      ignore (Bstar_tree.pack_xy tree xs ys);
       let cache = Hpwl_cache.create ~n_nodes:n nets in
-      ignore (Hpwl_cache.rebuild cache ~xs:xs.(0) ~ys:ys.(0));
-      let changed = Array.make n 0 in
+      ignore (Hpwl_cache.rebuild cache ~xs ~ys);
       let rotatable = Array.init n Fun.id in
       let ok = ref true in
       let agree () =
-        Hpwl_cache.total cache
-        = Hpwl_cache.compute_xy nets ~xs:xs.(!cur) ~ys:ys.(!cur)
+        Hpwl_cache.total cache = Hpwl_cache.compute_xy nets ~xs ~ys
       in
       for _ = 1 to 1000 do
         Bstar_tree.perturb tree ~rng ~rotatable;
-        let prev_xs = xs.(!cur) and prev_ys = ys.(!cur) in
-        let next = 1 - !cur in
-        let next_xs = xs.(next) and next_ys = ys.(next) in
-        ignore (Bstar_tree.pack_xy tree next_xs next_ys);
-        cur := next;
-        let n_changed = ref 0 in
-        for b = 0 to n - 1 do
-          if next_xs.(b) <> prev_xs.(b) || next_ys.(b) <> prev_ys.(b)
-          then begin
-            changed.(!n_changed) <- b;
-            incr n_changed
-          end
-        done;
-        Hpwl_cache.update cache ~xs:next_xs ~ys:next_ys ~changed
-          ~n_changed:!n_changed;
+        ignore (Bstar_tree.pack_xy tree xs ys);
+        Hpwl_cache.update cache ~xs ~ys ~changed:(Bstar_tree.moved tree)
+          ~n_changed:(Bstar_tree.n_moved tree);
         if not (agree ()) then ok := false;
         (* randomly reject the move, as the annealer would *)
         if Rng.bool rng then begin
           Bstar_tree.undo tree;
+          Bstar_tree.unpack tree xs ys;
           Hpwl_cache.restore cache;
-          cur := 1 - !cur;
           if not (agree ()) then ok := false
         end
       done;
@@ -873,9 +917,10 @@ let suites =
         Alcotest.test_case "perturb/undo" `Quick test_bstar_perturb_undo;
         qtest prop_bstar_moves_preserve_invariants;
         qtest prop_bstar_pack_compact_bottom_left;
-        qtest prop_pack_incremental_matches_reference;
-        Alcotest.test_case "abutting breakpoints" `Quick
-          test_pack_abutting_breakpoints;
+        qtest prop_repack_matches_reference;
+        qtest prop_moved_log_matches_diff;
+        Alcotest.test_case "uniform footprints" `Quick
+          test_pack_uniform_footprints;
       ] );
     ("place.hpwl_cache", [ qtest prop_hpwl_cache_matches_scratch ]);
     ( "place.super_module",
