@@ -82,11 +82,17 @@ let clip grid region =
   | Some r -> r
   | None -> Grid.box grid
 
+(* A negative penalty could price a cell below 1, which would break
+   both the admissible heuristic and the queue's monotone contract. *)
+let check_penalty name penalty =
+  if penalty < 0 then invalid_arg (Printf.sprintf "Astar.%s: negative penalty" name)
+
 (* Region-local dense state: cell codes are row-major offsets in the
    clipped region, so a neighbour's code is the popped code plus an
    axis stride and a search allocates nothing per expansion. *)
 let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
     ?(exclude = []) grid ~region ~penalty ~sources ~target =
+  check_penalty "search" penalty;
   let region = clip grid region in
   let lo = region.Box3.lo and hi = region.Box3.hi in
   let lx = lo.Vec3.x and ly = lo.Vec3.y and lz = lo.Vec3.z in
@@ -156,20 +162,25 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
           Pqueue.push open_q h_cache.(code) code
         end)
       sources;
+    (* A neighbour already reached this search at g <= gp + 1 cannot
+       improve (every entry costs at least 1), so it is not probed; for
+       it the probe, [touch] and the comparison would change nothing. *)
     let relax gp from x y z code =
-      let cost =
-        Grid.probe grid ~penalty ~avoid_used ~exempt:(exempt.(code) = gen)
-          ~dusage:(if own.(code) = gen then -1 else 0)
-          x y z
-      in
-      if cost >= 0 then begin
-        touch x y z code;
-        let tentative = gp + cost in
-        if tentative < g_score.(code) then begin
-          g_score.(code) <- tentative;
-          parent.(code) <- from;
-          incr pushes;
-          Pqueue.push open_q (tentative + h_cache.(code)) code
+      if stamp.(code) <> gen || g_score.(code) > gp + 1 then begin
+        let cost =
+          Grid.probe grid ~penalty ~avoid_used ~exempt:(exempt.(code) = gen)
+            ~dusage:(if own.(code) = gen then -1 else 0)
+            x y z
+        in
+        if cost >= 0 then begin
+          touch x y z code;
+          let tentative = gp + cost in
+          if tentative < g_score.(code) then begin
+            g_score.(code) <- tentative;
+            parent.(code) <- from;
+            incr pushes;
+            Pqueue.push open_q (tentative + h_cache.(code)) code
+          end
         end
       end
     in
@@ -374,7 +385,11 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
       && nz <= thz
     then begin
       let ncode = encode nx ny nz in
-      if exempt.(ncode) = gen || not (Grid.tile_blocked grid ncode)
+      (* the flat pass's settled-neighbour skip: entering a tile costs
+         at least [edge] *)
+      if
+        (stamp.(ncode) <> gen || g_score.(ncode) > gp + edge)
+        && (exempt.(ncode) = gen || not (Grid.tile_blocked grid ncode))
       then begin
         touch nx ny nz ncode;
         let tentative = gp + enter_tile nx ny nz ncode in
@@ -412,8 +427,7 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
   if not !found then None
   else begin
     (* corridor = path tiles plus their in-range axis neighbors, in
-       deterministic discovery order (slot numbering feeds cell codes,
-       and codes break priority-queue ties) *)
+       deterministic discovery order (slot numbering feeds cell codes) *)
     let member = scr.member in
     Hashtbl.clear member;
     let corridor = ref [] in
@@ -458,6 +472,7 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
    region stride replaced by a tile-map lookup. *)
 let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
     ?(exclude = []) scr grid ~corridor ~region ~penalty ~sources ~target =
+  check_penalty "fine_in_corridor" penalty;
   let region = clip grid region in
   if not (Box3.contains region target) then None
   else begin
@@ -561,9 +576,10 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
       let lx = region.Box3.lo.Vec3.x and hx = region.Box3.hi.Vec3.x
       and ly = region.Box3.lo.Vec3.y and hy = region.Box3.hi.Vec3.y
       and lz = region.Box3.lo.Vec3.z and hz = region.Box3.hi.Vec3.z in
+      (* the flat pass's settled-neighbour skip *)
       let relax gp from x y z =
         let code = encode x y z in
-        if code >= 0 then begin
+        if code >= 0 && (stamp.(code) <> gen || g_score.(code) > gp + 1) then begin
           let cost =
             Grid.probe grid ~penalty ~avoid_used ~exempt:(exempt.(code) = gen)
               ~dusage:(if own.(code) = gen then -1 else 0)
@@ -618,6 +634,7 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
 
 let search_corridor ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
     ?(exclude = []) grid ~region ~penalty ~sources ~target =
+  check_penalty "search_corridor" penalty;
   let region = clip grid region in
   if not (Box3.contains region target) then None
   else

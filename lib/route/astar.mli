@@ -5,7 +5,15 @@
     distance to the target (admissible: every step costs at least 1).
     Obstacle cells and cells outside the region are never expanded;
     source and target cells are exempt from the obstacle test so pins
-    adjacent to module walls remain reachable. *)
+    adjacent to module walls remain reachable.
+
+    Every pass keeps its open set in a monotone {!Tqec_util.Pqueue}.
+    Its precondition, that no push lands below the last popped key,
+    holds because an entry costs at least 1 ({!Grid.enter_cost} with a
+    non-negative penalty; {!Grid.tile_edge} per tile on the coarse
+    graph) while the heuristic changes by at most that much per step.
+    {!search}, {!fine_in_corridor} and {!search_corridor} therefore
+    raise [Invalid_argument] on a negative [penalty]. *)
 
 (** Reusable search workspace.  One scratch serves any number of
     sequential searches (arrays grow to the largest region seen and are

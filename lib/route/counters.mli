@@ -39,13 +39,12 @@ val scratch_grows : int Atomic.t
     searches and corridor-widening escalations must not grow it. *)
 
 val astar_pops : int Atomic.t
-(** Priority-queue pops over every A* pass (flat, coarse and fine),
-    stale entries included: the heap traffic that dominates routing
+(** Open-set pops over every A* pass (flat, coarse and fine), stale
+    entries included: the open-set traffic that dominates routing
     time.  Each search adds its local count once, when it ends. *)
 
 val astar_pushes : int Atomic.t
-(** Priority-queue pushes over every A* pass, added like
-    {!astar_pops}. *)
+(** Open-set pushes over every A* pass, added like {!astar_pops}. *)
 
 (** {2 Snapshot} *)
 

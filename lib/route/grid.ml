@@ -209,8 +209,12 @@ let history g p =
 let add_history g p delta =
   guard g p "add_history";
   let ti, ci = tile_cell g p in
+  (* reject before writing, as [add_usage] does: a negative history
+     would price a cell below the floor of 1 the A* kernels rely on *)
+  let h = delta + match g.tiles.(ti) with None -> 0 | Some t -> t.t_hist.(ci) in
+  if h < 0 then invalid_arg "Grid.add_history: negative history";
   let t = ensure_tile g ti in
-  t.t_hist.(ci) <- t.t_hist.(ci) + delta;
+  t.t_hist.(ci) <- h;
   t.t_sum_hist <- t.t_sum_hist + delta;
   if delta <> 0 then bump_gen g ti
 

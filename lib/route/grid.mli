@@ -55,10 +55,16 @@ val add_usage : t -> Tqec_util.Vec3.t -> int -> unit
 
 val history : t -> Tqec_util.Vec3.t -> int
 
+(** [add_history g p delta] adds [delta] to [p]'s history cost.
+    @raise Invalid_argument when the history would turn negative; the
+    grid — cell, tile summary and generations — is then unchanged. *)
 val add_history : t -> Tqec_util.Vec3.t -> int -> unit
 
 (** [enter_cost g ~penalty p] is the congestion cost of entering [p]
-    (obstacles are handled by the router, not here). *)
+    (obstacles are handled by the router, not here).  With [penalty >=
+    0] it is at least 1, since usage and history are never negative:
+    the floor that keeps the A* heuristic admissible and its queue
+    monotone. *)
 val enter_cost : t -> penalty:int -> Tqec_util.Vec3.t -> int
 
 (** [probe g ~penalty ~dusage ~avoid_used ~exempt x y z] answers both
@@ -72,7 +78,9 @@ val enter_cost : t -> penalty:int -> Tqec_util.Vec3.t -> int
     search prices a re-route exactly as if that net had first been
     ripped up — the trick that lets every worker of a routing batch
     read the same unmodified grid instead of mutating a private copy.
-    Taking bare coordinates, the call allocates nothing.
+    Taking bare coordinates, the call allocates nothing.  A passable
+    cell's cost is at least 1 when [penalty >= 0] and [dusage >= -1]
+    (the floor of {!enter_cost}).
     @raise Invalid_argument when the cell is out of bounds. *)
 val probe :
   t ->

@@ -418,6 +418,14 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
    counters.  [Pool.map]'s submit and completion barrier orders the
    commit loop's writes before and after the batch. *)
 let route_all grid config nets =
+  List.iter
+    (fun (name, v) ->
+      if v < 0 then invalid_arg (Printf.sprintf "Pathfinder.route_all: negative %s" name))
+    [
+      ("initial_penalty", config.initial_penalty);
+      ("penalty_growth", config.penalty_growth);
+      ("history_increment", config.history_increment);
+    ];
   let jobs =
     match config.jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in

@@ -77,7 +77,10 @@ type result = {
 
 (** [route_all grid config nets] routes every net; [grid] retains the
     final usage state. Nets with fewer than 2 distinct pins route
-    trivially to their pin set. *)
+    trivially to their pin set.
+    @raise Invalid_argument when [initial_penalty], [penalty_growth] or
+    [history_increment] is negative: each would let an entry cost fall
+    below the floor of 1 that {!Astar} relies on. *)
 val route_all : Grid.t -> config -> net list -> result
 
 (** [validate grid result nets] checks routing legality against the grid:

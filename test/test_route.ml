@@ -50,6 +50,38 @@ let test_grid_negative_usage_rejected () =
   check Alcotest.int "tile congestion kept" 1 (Grid.tile_congestion g ti);
   check Alcotest.int "generation kept" gen (Grid.generation g)
 
+(* The same discipline for history: a negative history would price a
+   cell below 1 (a delta of -5 on a fresh cell reads as the probe's
+   "impassable" -1), so the delta is refused before anything is
+   written. *)
+let test_grid_negative_history_rejected () =
+  let g = Grid.create (Box3.make (vec 0 0 0) (vec 4 0 0)) in
+  let p = vec 2 0 0 in
+  let ti = Grid.tile_index g p in
+  Alcotest.check_raises "negative history"
+    (Invalid_argument "Grid.add_history: negative history") (fun () ->
+      Grid.add_history g p (-5));
+  check Alcotest.int "history unchanged" 0 (Grid.history g p);
+  check Alcotest.int "tile congestion unchanged" 0 (Grid.tile_congestion g ti);
+  check Alcotest.int "generation unchanged" 0 (Grid.generation g);
+  check Alcotest.int "entry cost kept at the floor" 1 (Grid.enter_cost g ~penalty:1 p);
+  (match
+     Astar.search g ~region:(Grid.box g) ~penalty:1 ~sources:[ vec 0 0 0 ]
+       ~target:(vec 4 0 0)
+   with
+  | Some path -> check Alcotest.int "the line still routes" 5 (List.length path)
+  | None -> Alcotest.fail "expected a path");
+  Grid.add_history g p 2;
+  let gen = Grid.generation g in
+  Alcotest.check_raises "negative history on a priced cell"
+    (Invalid_argument "Grid.add_history: negative history") (fun () ->
+      Grid.add_history g p (-3));
+  check Alcotest.int "history kept" 2 (Grid.history g p);
+  check Alcotest.int "tile congestion kept" 2 (Grid.tile_congestion g ti);
+  check Alcotest.int "generation kept" gen (Grid.generation g);
+  Grid.add_history g p (-2);
+  check Alcotest.int "a delta down to 0 is accepted" 0 (Grid.history g p)
+
 let test_grid_obstacles () =
   let g = grid10 () in
   Grid.set_obstacle g (vec 5 5 5);
@@ -390,6 +422,30 @@ let test_astar_multi_source () =
       check Alcotest.bool "from nearest" true
         (Vec3.equal (List.hd path) (vec 5 1 0))
 
+(* A negative penalty could price a cell below 1, breaking the queue's
+   monotone contract: each entry point refuses it up front, even where
+   it would return [None] before searching. *)
+let test_astar_rejects_negative_penalty () =
+  let g = grid10 () in
+  let sources = [ vec 0 0 0 ] and target = vec 5 0 0 in
+  Alcotest.check_raises "search"
+    (Invalid_argument "Astar.search: negative penalty") (fun () ->
+      ignore (Astar.search g ~region:full_region ~penalty:(-3) ~sources ~target));
+  Alcotest.check_raises "search_corridor"
+    (Invalid_argument "Astar.search_corridor: negative penalty") (fun () ->
+      ignore
+        (Astar.search_corridor g ~region:full_region ~penalty:(-3) ~sources
+           ~target:(vec 99 0 0)));
+  let scr = Astar.create_scratch () in
+  match Astar.coarse_corridor scr g ~region:full_region ~sources ~target with
+  | None -> Alcotest.fail "expected a corridor"
+  | Some corridor ->
+      Alcotest.check_raises "fine_in_corridor"
+        (Invalid_argument "Astar.fine_in_corridor: negative penalty") (fun () ->
+          ignore
+            (Astar.fine_in_corridor scr g ~corridor ~region:full_region
+               ~penalty:(-1) ~sources ~target))
+
 (* A* path cost equals Dijkstra-optimal cost on random congested grids. *)
 let prop_astar_optimal_vs_dijkstra =
   QCheck.Test.make ~name:"A* matches Dijkstra cost on random grids" ~count:25
@@ -517,6 +573,21 @@ let test_pathfinder_single_pin_net () =
   let nets = [ { Pathfinder.net_id = 0; pins = [ vec 3 3 3 ] } ] in
   let r = Pathfinder.route_all g Pathfinder.default_config nets in
   check Alcotest.bool "success" true r.Pathfinder.success
+
+let test_pathfinder_rejects_negative_costs () =
+  let nets = [ { Pathfinder.net_id = 0; pins = [ vec 0 0 0; vec 5 0 0 ] } ] in
+  List.iter
+    (fun (name, config) ->
+      let g = grid10 () in
+      Alcotest.check_raises name
+        (Invalid_argument ("Pathfinder.route_all: negative " ^ name))
+        (fun () -> ignore (Pathfinder.route_all g config nets));
+      check Alcotest.int (name ^ ": grid untouched") 0 (Grid.generation g))
+    [
+      ("initial_penalty", { Pathfinder.default_config with initial_penalty = -1 });
+      ("penalty_growth", { Pathfinder.default_config with penalty_growth = -4 });
+      ("history_increment", { Pathfinder.default_config with history_increment = -2 });
+    ]
 
 let test_pathfinder_unroutable () =
   let g = grid10 () in
@@ -967,8 +1038,8 @@ let test_golden_symmetric_detours () =
   check Alcotest.string "symmetric detour digest, flat and corridor"
     "67b34f4caac1a53b73b88a41a7548f0a" (digest_of b)
 
-let test_golden_flat_search () =
-  let b = Buffer.create 65536 in
+(* The 150 seeded flat-search cases, each case's path appended to [b]. *)
+let golden_flat_cases b =
   let scratch = Astar.create_scratch () in
   for seed = 1 to 150 do
     let rng = Rng.create seed in
@@ -983,12 +1054,17 @@ let test_golden_flat_search () =
     add_path b
       (Astar.search ~scratch ~max_expansions ~avoid_used ~exclude g ~region
          ~penalty ~sources ~target)
-  done;
+  done
+
+let test_golden_flat_search () =
+  let b = Buffer.create 65536 in
+  golden_flat_cases b;
   check Alcotest.string "Astar.search digest, 150 seeded cases"
     "d2858f023aebea3f24eca4be047bbc4b" (digest_of b)
 
-let test_golden_corridor_search () =
-  let b = Buffer.create 65536 in
+(* The 60 seeded coarse + fine cases, each case's corridor and path
+   appended to [b]. *)
+let golden_corridor_cases b =
   let scratch = Astar.create_scratch () in
   for seed = 1 to 60 do
     let rng = Rng.create (1000 + seed) in
@@ -1013,9 +1089,31 @@ let test_golden_corridor_search () =
         add_path b
           (Astar.fine_in_corridor ~max_expansions ~avoid_used ~exclude scratch
              g ~corridor ~region ~penalty ~sources ~target)
-  done;
+  done
+
+let test_golden_corridor_search () =
+  let b = Buffer.create 65536 in
+  golden_corridor_cases b;
   check Alcotest.string "coarse_corridor + fine_in_corridor digest, 60 cases"
     "cd435988bebf0c99cc76ad3f744cc663" (digest_of b)
+
+(* The paths pin what the searches return; the open-set traffic pins
+   how they got there.  A queue that reorders equal-key entries, or a
+   pass that pushes or pops one entry more or fewer, moves these totals
+   even where every path happens to agree.  Computed with the binary
+   heap kernels. *)
+let test_golden_search_counts () =
+  let b = Buffer.create 65536 in
+  let counts run =
+    Counters.reset ();
+    run b;
+    let s = Counters.stats () in
+    (s.Counters.astar_pops, s.Counters.astar_pushes)
+  in
+  check Alcotest.(pair int int) "flat cases: (pops, pushes)" (4989, 8222)
+    (counts golden_flat_cases);
+  check Alcotest.(pair int int) "corridor cases: (pops, pushes)"
+    (11266, 16509) (counts golden_corridor_cases)
 
 (* Random multi-pin nets on small crowded grids.  Small coordinates make
    equal pin distances (Prim ties) and equal nearest-cell distances
@@ -1116,6 +1214,8 @@ let suites =
         Alcotest.test_case "usage/history" `Quick test_grid_usage_history;
         Alcotest.test_case "negative usage rejected" `Quick
           test_grid_negative_usage_rejected;
+        Alcotest.test_case "negative history rejected" `Quick
+          test_grid_negative_history_rejected;
         Alcotest.test_case "obstacles" `Quick test_grid_obstacles;
         Alcotest.test_case "shared cells" `Quick test_grid_shared;
         Alcotest.test_case "overused" `Quick test_grid_overused;
@@ -1135,6 +1235,8 @@ let suites =
         Alcotest.test_case "respects region" `Quick test_astar_respects_region;
         Alcotest.test_case "pins exempt" `Quick test_astar_source_target_exempt;
         Alcotest.test_case "multi-source" `Quick test_astar_multi_source;
+        Alcotest.test_case "rejects a negative penalty" `Quick
+          test_astar_rejects_negative_penalty;
         qtest prop_astar_optimal_vs_dijkstra;
         Alcotest.test_case "allocation per path cell" `Quick
           test_astar_allocation_per_path_cell;
@@ -1145,6 +1247,8 @@ let suites =
         Alcotest.test_case "negotiates" `Quick test_pathfinder_negotiates_conflict;
         Alcotest.test_case "single pin" `Quick test_pathfinder_single_pin_net;
         Alcotest.test_case "unroutable" `Quick test_pathfinder_unroutable;
+        Alcotest.test_case "rejects negative costs" `Quick
+          test_pathfinder_rejects_negative_costs;
         Alcotest.test_case "unroutable, grid-wide corridor" `Quick
           test_pathfinder_unroutable_wide_corridor;
         Alcotest.test_case "jobs invariant" `Quick test_pathfinder_jobs_invariant;
@@ -1172,6 +1276,8 @@ let suites =
           test_golden_corridor_search;
         Alcotest.test_case "route_all at jobs 1 and 2" `Quick
           test_golden_route_all;
+        Alcotest.test_case "search open-set counts" `Quick
+          test_golden_search_counts;
       ] );
     ( "route.validate",
       [

@@ -258,21 +258,66 @@ let prop_pqueue_sorts =
       in
       drain min_int)
 
+(* A push below the last popped key breaks the monotone contract: it is
+   refused before anything changes. *)
+let test_pqueue_rejects_push_below_floor () =
+  let q = Pqueue.create () in
+  List.iter (fun (k, v) -> Pqueue.push q k v) [ (5, 50); (3, 30); (7, 70) ];
+  check Alcotest.int "pops the smallest" 30 (Pqueue.pop q);
+  Pqueue.push q 3 31;
+  Alcotest.check_raises "push below the last popped key"
+    (Invalid_argument "Pqueue.push: key below the last popped key") (fun () ->
+      Pqueue.push q 2 20);
+  check Alcotest.int "length unchanged" 3 (Pqueue.length q);
+  check Alcotest.int "min key unchanged" 3 (Pqueue.min_key q);
+  check Alcotest.(list int) "order unchanged" [ 31; 50; 70 ]
+    (List.init 3 (fun _ -> Pqueue.pop q));
+  Pqueue.clear q;
+  Pqueue.push q 2 20;
+  check Alcotest.int "clear lifts the floor" 20 (Pqueue.pop q)
+
+(* Keys far wider apart than the initial ring force it to grow, both
+   before the first pop and after one; equal keys on each side of a
+   growth keep their insertion order. *)
+let test_pqueue_ring_growth () =
+  let q = Pqueue.create () in
+  List.iter
+    (fun (k, v) -> Pqueue.push q k v)
+    [ (0, 1); (0, 2); (100_000, 3); (100_000, 4); (0, 5); (-7, 6) ];
+  check Alcotest.int "min key across a growth" (-7) (Pqueue.min_key q);
+  check Alcotest.(list int) "stable before the floor moves" [ 6; 1 ]
+    (List.init 2 (fun _ -> Pqueue.pop q));
+  Pqueue.push q 200_000 7;
+  Pqueue.push q 0 8;
+  Pqueue.push q 100_000 9;
+  check Alcotest.int "length" 7 (Pqueue.length q);
+  check Alcotest.(list int) "stable across growths" [ 2; 5; 8; 3; 4; 9; 7 ]
+    (List.init 7 (fun _ -> Pqueue.pop q));
+  Pqueue.clear q;
+  Pqueue.push q 1 10;
+  Pqueue.push q 1 11;
+  check Alcotest.(list int) "reused after clear" [ 10; 11 ]
+    (List.init 2 (fun _ -> Pqueue.pop q))
+
 (* Under interleaved pushes and pops (including pops from an empty
    queue and a mid-sequence [clear]), values come out exactly as a
    stable sort by (key, insertion index) of the entries present at each
-   pop would deliver them.  Keys come from a small range, so equal keys
-   — the FIFO tie rule — are the common case. *)
+   pop would deliver them.  Until the first pop after a [clear] a push
+   takes its drawn key, in any order; after a pop it takes the last
+   popped key plus a drawn offset in 0..3, as an A* search does.  Keys
+   stay in a small range, so equal keys — the FIFO tie rule — are the
+   common case. *)
 let prop_pqueue_stable_order =
   QCheck.Test.make ~name:"pqueue pops in stable (key, insertion) order"
     ~count:300
-    QCheck.(list (pair (int_range 0 4) (int_range (-3) 6)))
+    QCheck.(list (triple (int_range 0 4) (int_range (-3) 6) (int_range 0 3)))
     (fun ops ->
       let q = Pqueue.create () in
       (* model: (key, insertion index, value), unordered *)
       let model = ref [] and next = ref 0 in
+      let last_popped = ref None in
       List.for_all
-        (fun (op, key) ->
+        (fun (op, key, offset) ->
           match op with
           | 0 -> (
               match
@@ -287,12 +332,17 @@ let prop_pqueue_stable_order =
                   | exception Not_found -> true)
               | (k, _, v) :: _ ->
                   model := List.filter (fun (_, _, v') -> v' <> v) !model;
+                  last_popped := Some k;
                   Pqueue.min_key q = k && Pqueue.pop q = v)
           | 1 when key = 6 ->
               Pqueue.clear q;
               model := [];
+              last_popped := None;
               Pqueue.is_empty q
           | _ ->
+              let key =
+                match !last_popped with None -> key | Some k -> k + offset
+              in
               let v = !next in
               incr next;
               Pqueue.push q key v;
@@ -638,6 +688,9 @@ let suites =
         Alcotest.test_case "order" `Quick test_pqueue_order;
         Alcotest.test_case "FIFO ties" `Quick test_pqueue_fifo_ties;
         Alcotest.test_case "peek/clear" `Quick test_pqueue_peek_clear;
+        Alcotest.test_case "rejects a push below the floor" `Quick
+          test_pqueue_rejects_push_below_floor;
+        Alcotest.test_case "ring growth" `Quick test_pqueue_ring_growth;
         qtest prop_pqueue_sorts;
         qtest prop_pqueue_stable_order;
       ] );
