@@ -6,6 +6,7 @@
      TQEC_SCALE  = integer divisor for instance sizes (default 1)
      TQEC_SEED   = random seed (default 42)
      TQEC_BENCHMARKS = comma-separated subset of benchmark names
+                   (default all eight)
      TQEC_JOBS   = parallelism for the suite fan-out AND each
                    instance's inner stages (placement multi-start,
                    routing batches): everything feeds one persistent
@@ -19,8 +20,9 @@
                    (unset keeps single-die annealing)
      The knob variables above (EFFORT, SEED, JOBS, RESTARTS,
      EARLY_STOP, PARTITION) go through the knob table's parsers
-     (Tqec_compress.Knobs); a value they reject exits 2 naming the
-     variable.
+     (Tqec_compress.Knobs), and SCALE and BENCHMARKS through
+     Experiments.validate; a value they reject exits 2 naming the
+     variable (an unknown benchmark also lists the suite names).
      TQEC_SCALE_TIER = 1 to run the scale-tier sweep instead of the
                    paper tables: tier-x<f> instances through the full
                    pipeline, each once with the corridor cache off and
@@ -60,14 +62,7 @@ let config () =
   | Error msg ->
       prerr_endline ("bench: " ^ msg);
       exit 2
-  | Ok base -> (
-      match Sys.getenv_opt "TQEC_BENCHMARKS" with
-      | Some s ->
-          let benchmarks =
-            String.split_on_char ',' s |> List.map String.trim
-          in
-          { base with Experiments.benchmarks }
-      | None -> base)
+  | Ok config -> config
 
 let rss_cell () =
   match Tqec_util.Stats.peak_rss_kb () with

@@ -142,7 +142,8 @@ let optimize_arg =
 let timings_arg =
   let doc =
     "Print per-stage wall times, the placer's work (nodes, annealing \
-     moves attempted and accepted, accept ratio), the work-stealing \
+     moves attempted and accepted, accept ratio, moves that ran the full \
+     B*-tree repack), the work-stealing \
      scheduler's counters (tasks executed, steals, injector traffic, \
      parks) and the router's counters after the run."
   in
@@ -153,14 +154,17 @@ let print_timings (r : Pipeline.t) =
   List.iter
     (fun (name, dt) -> Format.printf "  %-10s %8.3fs@." name dt)
     r.Pipeline.timings;
-  let sa = r.Pipeline.placement.Tqec_place.Placer.sa_stats in
+  let placement = r.Pipeline.placement in
+  let sa = placement.Tqec_place.Placer.sa_stats in
   Format.printf
-    "placer: nodes=%d moves attempted=%d accepted=%d accept-ratio=%.3f@."
+    "placer: nodes=%d moves attempted=%d accepted=%d accept-ratio=%.3f \
+     repacks=%d@."
     r.Pipeline.stages.Pipeline.st_nodes sa.Tqec_place.Sa.attempted
     sa.Tqec_place.Sa.accepted
     (Tqec_util.Stats.ratio
        (float_of_int sa.Tqec_place.Sa.accepted)
-       (float_of_int sa.Tqec_place.Sa.attempted));
+       (float_of_int sa.Tqec_place.Sa.attempted))
+    placement.Tqec_place.Placer.repacks;
   let s = Tqec_util.Pool.stats () in
   Format.printf
     "scheduler: workers=%d submitted=%d executed=%d stolen=%d injected=%d \
@@ -244,7 +248,8 @@ let benchmarks_arg =
   Arg.(value & opt_all string [] & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
 
 (* Each table runs both the dual-only baseline and the full flow, so it
-   takes every knob but the variant. *)
+   takes every knob but the variant.  An unknown -b name or a --scale
+   below 1 exits 2 before anything runs. *)
 let table_cmd name doc render =
   let run pipeline scale benchmarks =
     let config =
@@ -255,7 +260,12 @@ let table_cmd name doc render =
         benchmarks = (if benchmarks = [] then Suite.names else benchmarks);
       }
     in
-    print_string (render config)
+    match
+      Experiments.validate ~scale_from:"--scale" ~benchmarks_from:"--benchmark"
+        config
+    with
+    | Ok config -> print_string (render config)
+    | Error msg -> die "%s" msg
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(

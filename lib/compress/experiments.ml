@@ -18,6 +18,25 @@ let auto_factor (entry : Suite.entry) =
   let modules = entry.Suite.paper.Suite.p_modules in
   max 1 ((modules + 2599) / 2600)
 
+let bad_scale from text =
+  Error (Printf.sprintf "%s: %S is not a scale (an integer >= 1)" from text)
+
+let validate ~scale_from ~benchmarks_from config =
+  let unknown name =
+    Error
+      (Printf.sprintf "%s: unknown benchmark %S; suite: %s" benchmarks_from
+         name
+         (String.concat ", " Suite.names))
+  in
+  if config.scale < 1 then bad_scale scale_from (string_of_int config.scale)
+  else
+    match
+      List.find_opt (fun b -> not (List.mem b Suite.names)) config.benchmarks
+    with
+    | Some name -> unknown name
+    | None when config.benchmarks = [] -> unknown ""
+    | None -> Ok config
+
 let config_from_env ?(pipeline = Knobs.defaults) () =
   (* env-read: call-time capture, daemon-safe by construction — the CLI
      and bench entry points call this once per invocation to build their
@@ -26,19 +45,23 @@ let config_from_env ?(pipeline = Knobs.defaults) () =
   let env = Sys.getenv_opt in
   match Knobs.of_env env pipeline with
   | Error _ as e -> e
-  | Ok pipeline ->
-      let scale =
-        match Option.bind (env "TQEC_SCALE") int_of_string_opt with
-        | Some v when v >= 1 -> v
-        | _ -> 1
+  | Ok pipeline -> (
+      let benchmarks =
+        match env "TQEC_BENCHMARKS" with
+        | Some s -> String.split_on_char ',' s |> List.map String.trim
+        | None -> Suite.names
       in
-      Ok
-        {
-          pipeline = { pipeline with debug = env "TQEC_DEBUG" <> None };
-          scale;
-          auto_scale = env "TQEC_FULLSIZE" = None;
-          benchmarks = Suite.names;
-        }
+      let scale_text = Option.value (env "TQEC_SCALE") ~default:"1" in
+      match int_of_string_opt scale_text with
+      | None -> bad_scale "TQEC_SCALE" scale_text
+      | Some scale ->
+          validate ~scale_from:"TQEC_SCALE" ~benchmarks_from:"TQEC_BENCHMARKS"
+            {
+              pipeline = { pipeline with debug = env "TQEC_DEBUG" <> None };
+              scale;
+              auto_scale = env "TQEC_FULLSIZE" = None;
+              benchmarks;
+            })
 
 let run_benchmark config (entry : Suite.entry) =
   let factor =

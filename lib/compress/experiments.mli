@@ -1,11 +1,11 @@
 (** The experiment harness regenerating every table and figure of the
     paper's evaluation (Tables 1-3, the Fig. 1 volume sequence).
 
-    Knobs and instance scale come from the environment when not given:
-    the knob table's variables (e.g. [TQEC_EFFORT] in
-    quick|normal|full) and [TQEC_SCALE] (an integer divisor applied to
-    the largest benchmarks so the harness terminates in minutes; 1 =
-    full size). *)
+    Knobs and the instance selection come from the environment when not
+    given: the knob table's variables (e.g. [TQEC_EFFORT] in
+    quick|normal|full), [TQEC_SCALE] (an integer divisor applied to the
+    largest benchmarks so the harness terminates in minutes; 1 = full
+    size) and [TQEC_BENCHMARKS] (comma-separated suite names). *)
 
 type config = {
   pipeline : Pipeline.config;
@@ -20,14 +20,29 @@ type config = {
   benchmarks : string list;  (** names to run; defaults to all eight *)
 }
 
+(** [validate ~scale_from ~benchmarks_from config] checks the instance
+    selection, the one place it is checked: [Ok config] when
+    [config.scale] is at least 1 and [config.benchmarks] is a non-empty
+    list of suite names ({!Tqec_circuit.Suite.names}).  Otherwise
+    [Error] names the variable or flag the bad value came from
+    ([scale_from] or [benchmarks_from]); an unknown benchmark's message
+    also lists the suite names.  Callers exit 2 on it. *)
+val validate :
+  scale_from:string ->
+  benchmarks_from:string ->
+  config ->
+  (config, string) result
+
 (** [config_from_env ?pipeline ()] applies the knob table's variables
     (TQEC_EFFORT, TQEC_SEED, TQEC_RESTARTS, TQEC_JOBS, TQEC_EARLY_STOP,
     TQEC_PARTITION; see {!Knobs}) on top of [pipeline] (default
-    {!Knobs.defaults}) and reads TQEC_SCALE, TQEC_FULLSIZE and
-    TQEC_DEBUG.  A knob variable its row rejects is [Error] naming the
-    variable.  All reads happen at call time (an entry point builds its
-    defaults once per invocation); nothing is captured at module load,
-    so a long-running process never freezes these. *)
+    {!Knobs.defaults}) and reads TQEC_SCALE, TQEC_BENCHMARKS (unset =
+    all eight), TQEC_FULLSIZE and TQEC_DEBUG.  A knob variable its row
+    rejects is [Error] naming the variable, and so is a TQEC_SCALE that
+    is not an integer or a selection {!validate} rejects.  All reads
+    happen at call time (an entry point builds its defaults once per
+    invocation); nothing is captured at module load, so a long-running
+    process never freezes these. *)
 val config_from_env :
   ?pipeline:Pipeline.config -> unit -> (config, string) result
 

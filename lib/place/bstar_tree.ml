@@ -5,7 +5,7 @@ module Rng = Tqec_util.Rng
    block id and callers keep stable identities. *)
 type t = {
   n : int;
-  w : int array; (* by block id *)
+  w : int array; (* current footprint by block id: [rotate] swaps them *)
   h : int array;
   rot : bool array;
   block_at : int array; (* slot -> block id *)
@@ -34,6 +34,17 @@ type t = {
   mv_x : int array;
   mv_y : int array;
   mutable mv_len : int;
+  (* the buffers the last pack wrote, what they hold relative to the
+     tree, the extents of that tree and of the one before the last
+     perturb, and the number of full repacks so far *)
+  mutable pk_xs : int array;
+  mutable pk_ys : int array;
+  mutable sync : sync;
+  mutable ext_w : int;
+  mutable ext_h : int;
+  mutable prev_w : int;
+  mutable prev_h : int;
+  mutable repacks : int;
   (* single-level undo of the last [perturb]: the move kind, its block
      operands, and for [Relink] what [detach] wrote — the slots it
      swapped block ids down (top first) and the parent and side it
@@ -49,9 +60,17 @@ type t = {
 
 and move = Nop | Rotate | Swap | Relink
 
+(* What [pk_xs]/[pk_ys] hold.  [Synced]: the pack of the current tree.
+   [Moved]: the pack of the tree before the last [perturb], with no pack
+   since.  [Packed]: [Synced], reached by packing out of [Moved], so the
+   log leads back to the pre-perturb pack.  [Undone]: [Packed] after
+   [undo]; [unpack] makes it [Synced] again.  [Stale]: unknown, so the
+   next pack is a full repack. *)
+and sync = Stale | Synced | Moved | Packed | Undone
+
 let size t = t.n
-let width t b = if t.rot.(b) then t.h.(b) else t.w.(b)
-let height t b = if t.rot.(b) then t.w.(b) else t.h.(b)
+let width t b = t.w.(b)
+let height t b = t.h.(b)
 
 (* ------------------------------------------------------------------ *)
 (* free-arity set maintenance                                          *)
@@ -116,6 +135,14 @@ let alloc dims =
     mv_x = Array.make n 0;
     mv_y = Array.make n 0;
     mv_len = 0;
+    pk_xs = [||];
+    pk_ys = [||];
+    sync = Stale;
+    ext_w = 0;
+    ext_h = 0;
+    prev_w = 0;
+    prev_h = 0;
+    repacks = 0;
     last = Nop;
     last_a = 0;
     last_b = 0;
@@ -148,10 +175,15 @@ let create dims =
   rebuild_free t;
   t
 
-let rotate t b = t.rot.(b) <- not t.rot.(b)
-let is_rotated t b = t.rot.(b)
+(* [turn] and [exchange] are [rotate] and [swap_blocks] without the
+   sync reset, for [perturb], [undo] and [detach], which keep it. *)
+let turn t b =
+  let w = t.w.(b) in
+  t.w.(b) <- t.h.(b);
+  t.h.(b) <- w;
+  t.rot.(b) <- not t.rot.(b)
 
-let swap_blocks t a b =
+let exchange t a b =
   if a <> b then begin
     let sa = t.slot_of.(a) and sb = t.slot_of.(b) in
     t.block_at.(sa) <- b;
@@ -159,6 +191,16 @@ let swap_blocks t a b =
     t.slot_of.(a) <- sb;
     t.slot_of.(b) <- sa
   end
+
+let rotate t b =
+  turn t b;
+  t.sync <- Stale
+
+let is_rotated t b = t.rot.(b)
+
+let swap_blocks t a b =
+  exchange t a b;
+  t.sync <- Stale
 
 (* Detach block [b]: bubble its id down to a leaf slot by swapping with
    child slots' ids, then unlink that leaf slot.  Returns the freed
@@ -171,7 +213,7 @@ let detach t b =
     let child =
       if t.left.(!cursor) <> -1 then t.left.(!cursor) else t.right.(!cursor)
     in
-    swap_blocks t t.block_at.(!cursor) t.block_at.(child);
+    exchange t t.block_at.(!cursor) t.block_at.(child);
     cursor := child;
     t.path.(t.path_len) <- child;
     t.path_len <- t.path_len + 1
@@ -207,10 +249,14 @@ let attach t ~rng leaf =
     free_remove t target;
   free_add t leaf
 
+let relink t ~rng b =
+  let leaf = detach t b in
+  attach t ~rng leaf
+
 let move_block t ~rng b =
   if t.n >= 2 then begin
-    let leaf = detach t b in
-    attach t ~rng leaf
+    relink t ~rng b;
+    t.sync <- Stale
   end
 
 (* Revert the last [move_block] from detach's log: unhook the leaf from
@@ -228,42 +274,86 @@ let unmove t =
   else t.right.(t.from_slot) <- leaf;
   t.parent.(leaf) <- t.from_slot;
   for k = t.path_len - 1 downto 1 do
-    swap_blocks t t.block_at.(t.path.(k - 1)) t.block_at.(t.path.(k))
+    exchange t t.block_at.(t.path.(k - 1)) t.block_at.(t.path.(k))
   done;
   rebuild_free t
 
 let perturb t ~rng ~rotatable =
   let n_rot = Array.length rotatable in
-  match if n_rot = 0 then 1 + Rng.int rng 2 else Rng.int rng 3 with
+  (match if n_rot = 0 then 1 + Rng.int rng 2 else Rng.int rng 3 with
   | 0 ->
       let b = rotatable.(Rng.int rng n_rot) in
-      rotate t b;
+      turn t b;
       t.last <- Rotate;
       t.last_a <- b
   | 1 ->
       let a = Rng.int rng t.n and b = Rng.int rng t.n in
-      swap_blocks t a b;
+      exchange t a b;
       t.last <- Swap;
       t.last_a <- a;
       t.last_b <- b
   | _ ->
       if t.n < 2 then t.last <- Nop
       else begin
-        move_block t ~rng (Rng.int rng t.n);
+        relink t ~rng (Rng.int rng t.n);
         t.last <- Relink
-      end
+      end);
+  t.sync <-
+    (match t.sync with
+    | Synced | Packed -> Moved
+    | Stale | Moved | Undone -> Stale)
 
 let undo t =
   (match t.last with
   | Nop -> ()
-  | Rotate -> rotate t t.last_a
-  | Swap -> swap_blocks t t.last_a t.last_b
+  | Rotate -> turn t t.last_a
+  | Swap -> exchange t t.last_a t.last_b
   | Relink -> unmove t);
+  t.sync <-
+    (match (t.sync, t.last) with
+    | Moved, _ -> Synced
+    | Packed, _ -> Undone
+    | ((Synced | Undone) as s), Nop -> s
+    | (Stale | Synced | Undone), _ -> Stale);
   t.last <- Nop
 
 (* ------------------------------------------------------------------ *)
 (* packing                                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* The last [perturb] kept every slot's footprint: a square turned, two
+   blocks of one footprint swapped (a block with itself included), or a
+   no-op.  Each slot then packs where it did, so the swapped blocks trade
+   coordinates and nothing else moves. *)
+let keeps_footprints t =
+  match t.last with
+  | Nop -> true
+  | Rotate -> t.w.(t.last_a) = t.h.(t.last_a)
+  | Swap ->
+      let a = t.last_a and b = t.last_b in
+      t.w.(a) = t.w.(b) && t.h.(a) = t.h.(b)
+  | Relink -> false
+
+(* [pack_xy] for a move [keeps_footprints] accepts, on the buffers that
+   hold the pre-move pack: a swap's two blocks, logged a first, trade
+   coordinates. *)
+let pack_kept t xs ys =
+  let a = t.last_a and b = t.last_b in
+  match t.last with
+  | Swap when a <> b ->
+      let ax = xs.(a) and ay = ys.(a) in
+      t.mv_id.(0) <- a;
+      t.mv_x.(0) <- ax;
+      t.mv_y.(0) <- ay;
+      t.mv_id.(1) <- b;
+      t.mv_x.(1) <- xs.(b);
+      t.mv_y.(1) <- ys.(b);
+      t.mv_len <- 2;
+      xs.(a) <- xs.(b);
+      ys.(a) <- ys.(b);
+      xs.(b) <- ax;
+      ys.(b) <- ay
+  | Nop | Rotate | Swap | Relink -> t.mv_len <- 0
 
 (* The one pack loop: a full repack in DFS (preorder) order.  A block's
    y is the highest contour column under its x-range, and its top then
@@ -272,7 +362,7 @@ let undo t =
    whose x-range the block overlaps — [pack_reference]'s rule.  Every
    block whose coordinates in [xs]/[ys] change is logged with the ones
    it overwrote. *)
-let pack_xy t xs ys =
+let repack t xs ys =
   let contour = t.contour in
   for x = 0 to t.contour_w - 1 do
     contour.(x) <- 0
@@ -320,18 +410,55 @@ let pack_xy t xs ys =
   done;
   t.contour_w <- !max_w;
   t.mv_len <- !moved;
-  (!max_w, !max_h)
+  t.ext_w <- !max_w;
+  t.ext_h <- !max_h;
+  t.repacks <- t.repacks + 1
+
+(* The annealer's entry: the DFS repack, skipped when the buffers are
+   the ones last packed, they hold the pack from before the last
+   [perturb], and that move kept every footprint. *)
+let pack_xy t xs ys =
+  let after_perturb =
+    match t.sync with
+    | Moved -> xs == t.pk_xs && ys == t.pk_ys
+    | Stale | Synced | Packed | Undone -> false
+  in
+  t.prev_w <- t.ext_w;
+  t.prev_h <- t.ext_h;
+  if after_perturb && keeps_footprints t then pack_kept t xs ys
+  else begin
+    repack t xs ys;
+    t.pk_xs <- xs;
+    t.pk_ys <- ys
+  end;
+  t.sync <- (if after_perturb then Packed else Synced);
+  (t.ext_w, t.ext_h)
 
 let moved t = t.mv_id
 let n_moved t = t.mv_len
+let repacks t = t.repacks
 
+(* Written into the packed buffers, the log takes them back to the pack
+   before the last one: after [undo] that is the current tree's pack
+   again.  Elsewhere it only drops the log. *)
 let unpack t xs ys =
   for k = 0 to t.mv_len - 1 do
     let b = t.mv_id.(k) in
     xs.(b) <- t.mv_x.(k);
     ys.(b) <- t.mv_y.(k)
   done;
-  t.mv_len <- 0
+  t.mv_len <- 0;
+  let into_x = xs == t.pk_xs and into_y = ys == t.pk_ys in
+  t.sync <-
+    (match t.sync with
+    | Undone when into_x && into_y ->
+        t.ext_w <- t.prev_w;
+        t.ext_h <- t.prev_h;
+        Synced
+    | _ when into_x || into_y -> Stale
+    | Packed -> Synced
+    | Undone -> Stale
+    | (Stale | Synced | Moved) as s -> s)
 
 let pack_into t pos =
   let xs = Array.make t.n 0 and ys = Array.make t.n 0 in

@@ -7,13 +7,14 @@
     contour.  Every tree reachable by the perturbation moves packs to a
     left/bottom-compacted placement.
 
-    Every pack is a full repack on a dense contour: one preallocated
-    int array of the highest placed top by x column.  A DFS step reads
-    the maximum over the block's x-range (its y) and fills that range
-    with its top.  The repack writes positions into the caller's
-    buffers in place and logs each block it moved, with the coordinates
-    it overwrote, so the annealer re-evaluates and, on rejection,
-    restores only those blocks.
+    A full repack runs on a dense contour: one preallocated int array
+    of the highest placed top by x column.  A DFS step reads the
+    maximum over the block's x-range (its y) and fills that range with
+    its top.  The repack writes positions into the caller's buffers in
+    place and logs each block it moved, with the coordinates it
+    overwrote, so the annealer re-evaluates and, on rejection, restores
+    only those blocks.  The annealer's pack ({!pack_xy}) skips the
+    repack after a {!perturb} that kept every footprint in place.
 
     Blocks carry a footprint (w, h); rotation swaps the two.  The 2.5D
     aspect of the flow (block z-extents) is handled by the placer on
@@ -34,7 +35,8 @@ val width : t -> int -> int
 
 val height : t -> int -> int
 
-(** [rotate t i] swaps block [i]'s w and h. *)
+(** [rotate t i] swaps block [i]'s stored w and h and flips its
+    {!is_rotated} flag. *)
 val rotate : t -> int -> unit
 
 (** [is_rotated t i] reports block [i]'s rotation state. *)
@@ -70,7 +72,8 @@ val perturb : t -> rng:Tqec_util.Rng.t -> rotatable:int array -> unit
 val undo : t -> unit
 
 (** [pack t] computes the placement: per-block lower-left (x, y) and the
-    bounding (width, height). *)
+    bounding (width, height).  It and {!pack_into} pack into fresh
+    buffers, so they always run the full repack. *)
 val pack : t -> (int * int) array * (int * int)
 
 (** [pack_into t pos] is [pack] writing the positions into the caller's
@@ -79,19 +82,40 @@ val pack_into : t -> (int * int) array -> int * int
 
 (** [pack_xy t xs ys] is [pack] writing x and y coordinates into the
     caller's unboxed int buffers (length [size t]) in place and
-    returning the bounding (width, height) — the annealer's repack.  It
+    returning the bounding (width, height) — the annealer's pack.  It
     logs every block whose (x, y) in the buffers it changed, once each,
     with the coordinates it overwrote; every pack replaces the log.
-    Allocates nothing. *)
+    Allocates nothing.
+
+    It skips the DFS repack when the last {!perturb} kept every slot's
+    footprint — it turned a square block, or swapped two blocks of
+    equal current (width, height), one block with itself included —
+    and two things hold: [xs]/[ys] are (physically) the buffers the
+    tree last packed, and since that pack nothing but that [perturb],
+    or an {!undo} followed by an {!unpack} into these buffers, has
+    touched the tree.  A turned square then moves nothing and a swap
+    trades its two blocks' coordinates; the extents are unchanged.
+    Anything else — two [perturb]s with no pack between them, a direct
+    {!rotate}, {!swap_blocks} or {!move_block}, an [undo] without an
+    [unpack], a pack into other buffers — makes the next pack a full
+    repack.  The skip reads the buffers as the last pack or [unpack]
+    left them: write them in between and the result is unspecified. *)
 val pack_xy : t -> int array -> int array -> int * int
 
 (** [moved t] holds the ids of the blocks the last pack moved in its
-    first [n_moved t] entries, in DFS order: the [~changed] buffer of
-    {!Hpwl_cache.update}.  The array belongs to [t]; read it before the
-    next pack. *)
+    first [n_moved t] entries: the [~changed] buffer of
+    {!Hpwl_cache.update}.  A full repack lists them in DFS order; a
+    skipped swap lists its two blocks in the order {!perturb} drew them,
+    which is not DFS order.  The array belongs to [t]; read it before
+    the next pack. *)
 val moved : t -> int array
 
 val n_moved : t -> int
+
+(** [repacks t] is how many packs of [t] so far ran the full DFS repack
+    rather than the skip of {!pack_xy}, {!pack} and {!pack_into}
+    included. *)
+val repacks : t -> int
 
 (** [unpack t xs ys] writes the coordinates the last {!pack_xy}
     overwrote back into [xs]/[ys] and empties the log — the annealer's

@@ -48,10 +48,14 @@ type t = {
   volume : int;
   wirelength : int;
   sa_stats : Sa.stats;
+  repacks : int;
 }
 
-(* Iteration budget: a move costs one full repack, roughly 30*n simple
-   operations, so derive the move count from an operation budget. *)
+(* Iteration budget: derive the move count from an operation budget,
+   pricing a move at one full repack, roughly 30*n simple operations.
+   A move that keeps every footprint now skips the repack, so a move
+   is often cheaper than that; the formula stays, because the move
+   count it yields fixes every recorded placement. *)
 let iterations_for effort n =
   let budget =
     match effort with
@@ -203,16 +207,18 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
     }
   in
   (* One independent annealing trajectory.  A move repacks the whole
-     tree into one pair of coordinate buffers in place; the repack logs
-     the blocks it moved, so the wirelength term re-evaluates only the
-     nets incident to them and a rejected move puts their old
-     coordinates back from the same log.  The best-so-far snapshot
-     copies into preallocated buffers, and the undo closure is built
-     once per trajectory rather than once per move. *)
+     tree into one pair of coordinate buffers in place, or skips the
+     repack when it kept every footprint; the pack logs the blocks it
+     moved, so the wirelength term re-evaluates only the nets incident
+     to them and a rejected move puts their old coordinates back from
+     the same log.  The best-so-far snapshot copies into preallocated
+     buffers, and the undo closure is built once per trajectory rather
+     than once per move. *)
   let anneal_start rng =
     let tree = Bstar_tree.create dims in
     let xs = Array.make n 0 and ys = Array.make n 0 in
     let cur_wh = ref (Bstar_tree.pack_xy tree xs ys) in
+    let initial_repacks = Bstar_tree.repacks tree in
     let cache = Hpwl_cache.create ~n_nodes:n nets in
     ignore (Hpwl_cache.rebuild cache ~xs ~ys);
     let cost () =
@@ -250,6 +256,7 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
     ( st,
       fun () ->
         ( Sa.stats st,
+          Bstar_tree.repacks tree - initial_repacks,
           Array.init n (fun i -> (best_xs.(i), best_ys.(i))),
           best_rot,
           !best_wh ) )
@@ -320,14 +327,14 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
   let runs = Array.map (fun (_, result) -> result ()) trajs in
   let best_i = ref 0 in
   Array.iteri
-    (fun i (st, _, _, _) ->
-      let prev, _, _, _ = runs.(!best_i) in
+    (fun i (st, _, _, _, _) ->
+      let prev, _, _, _, _ = runs.(!best_i) in
       if st.Sa.best_cost < prev.Sa.best_cost then best_i := i)
     runs;
-  let win_stats, node_pos, rotated, (width, height) = runs.(!best_i) in
+  let win_stats, _, node_pos, rotated, (width, height) = runs.(!best_i) in
   let sa_stats =
     Array.fold_left
-      (fun acc (st, _, _, _) ->
+      (fun acc (st, _, _, _, _) ->
         {
           acc with
           Sa.attempted = acc.Sa.attempted + st.Sa.attempted;
@@ -336,7 +343,8 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
       { win_stats with Sa.attempted = 0; accepted = 0 }
       runs
   in
-  (sa_stats, node_pos, rotated, (width, height))
+  let repacks = Array.fold_left (fun acc (_, r, _, _, _) -> acc + r) 0 runs in
+  (sa_stats, repacks, node_pos, rotated, (width, height))
 
 (* Divide-and-conquer annealing for instances beyond the single-die
    scale knee: partition the net hypergraph (deterministic BFS bisection
@@ -408,17 +416,18 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
      first (ties by partition id), against a width target that squares
      up the die. *)
   let total_area =
-    Array.fold_left (fun a (_, _, _, (w, h)) -> a + (w * h)) 0 results
+    Array.fold_left (fun a (_, _, _, _, (w, h)) -> a + (w * h)) 0 results
   in
   let target_w =
     max
-      (Array.fold_left (fun a (_, _, _, (w, _)) -> max a w) 1 results)
+      (Array.fold_left (fun a (_, _, _, _, (w, _)) -> max a w) 1 results)
       (int_of_float (sqrt (1.2 *. float_of_int total_area)))
   in
   let order = Array.init k (fun i -> i) in
   Array.sort
     (fun a b ->
-      let _, _, _, (aw, ah) = results.(a) and _, _, _, (bw, bh) = results.(b) in
+      let _, _, _, _, (aw, ah) = results.(a)
+      and _, _, _, _, (bw, bh) = results.(b) in
       let c = Int.compare (bw * bh) (aw * ah) in
       if c <> 0 then c else Int.compare a b)
     order;
@@ -426,7 +435,7 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
   let x = ref 0 and y = ref 0 and row_h = ref 0 in
   Array.iter
     (fun pid ->
-      let _, _, _, (w, h) = results.(pid) in
+      let _, _, _, _, (w, h) = results.(pid) in
       if !x + w > target_w && !x > 0 then begin
         x := 0;
         y := !y + !row_h;
@@ -440,7 +449,7 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
   let rotated = Array.make n false in
   Array.iteri
     (fun pid members ->
-      let _, pos, rot, _ = results.(pid) in
+      let _, _, pos, rot, _ = results.(pid) in
       let ox, oy = offsets.(pid) in
       Array.iteri
         (fun li v ->
@@ -462,9 +471,9 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
       height := max !height (py + h))
     node_pos;
   let sa_stats =
-    let first, _, _, _ = results.(0) in
+    let first, _, _, _, _ = results.(0) in
     Array.fold_left
-      (fun acc (st, _, _, _) ->
+      (fun acc (st, _, _, _, _) ->
         {
           acc with
           Sa.attempted = acc.Sa.attempted + st.Sa.attempted;
@@ -474,7 +483,10 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
       { first with Sa.attempted = 0; accepted = 0; best_cost = 0. }
       results
   in
-  (sa_stats, node_pos, rotated, (!width, !height))
+  let repacks =
+    Array.fold_left (fun acc (_, r, _, _, _) -> acc + r) 0 results
+  in
+  (sa_stats, repacks, node_pos, rotated, (!width, !height))
 
 let place ?(config = default_config) (g : Pd_graph.t) (flipping : Flipping.t)
     (dual : Dual_bridge.t) (_fvalue : Fvalue.t) =
@@ -501,6 +513,7 @@ let place ?(config = default_config) (g : Pd_graph.t) (flipping : Flipping.t)
       wirelength = 0;
       sa_stats =
         { Sa.attempted = 0; accepted = 0; best_cost = 0.; final_temperature = 0. };
+      repacks = 0;
     }
   else
   let depth =
@@ -535,6 +548,7 @@ let place ?(config = default_config) (g : Pd_graph.t) (flipping : Flipping.t)
             best_cost = float_of_int (width * height * depth);
             final_temperature = 0.;
           };
+        repacks = 0;
       }
   | Annealing ->
       (* Time-dependent and distillation-injection super-modules keep
@@ -548,7 +562,7 @@ let place ?(config = default_config) (g : Pd_graph.t) (flipping : Flipping.t)
             | Super_module.Time_sm _ | Super_module.Distill_sm _ -> false)
           nodes
       in
-      let sa_stats, node_pos, rotated, (width, height) =
+      let sa_stats, repacks, node_pos, rotated, (width, height) =
         match config.partition with
         | Some cap when n > max 1 cap ->
             place_partitioned ~config ~depth ~dims ~nets ~rotatable
@@ -575,6 +589,7 @@ let place ?(config = default_config) (g : Pd_graph.t) (flipping : Flipping.t)
         volume = width * height * depth;
         wirelength = hpwl nets node_pos;
         sa_stats;
+        repacks;
       }
 
 let module_cell p m =

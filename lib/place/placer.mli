@@ -90,6 +90,11 @@ type t = {
   volume : int;  (** W * H * Z of the placement *)
   wirelength : int;
   sa_stats : Sa.stats;
+  repacks : int;
+      (** annealing moves whose pack ran the full B*-tree repack rather
+          than its skip ({!Bstar_tree.pack_xy}), summed over lanes and
+          partitions like [sa_stats.attempted]; 0 for [Force_directed].
+          Deterministic and jobs-invariant, like the placement *)
 }
 
 (** [place ?config g flipping dual fvalue] runs the annealer and returns

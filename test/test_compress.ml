@@ -302,35 +302,64 @@ let test_config_from_env_defaults () =
 (* One validator per knob: a variable its row rejects is an error naming
    the variable, never a silent fallback.  The stdlib has no unsetenv,
    so each variable is restored to its row's printed default, which the
-   round-trip property below makes equivalent to unset. *)
+   round-trip property below makes equivalent to unset; TQEC_SCALE and
+   TQEC_BENCHMARKS, which are not knob rows, go back to 1 and to the
+   whole suite.  The selection check the table commands share names
+   their -b flag the same way. *)
 let test_config_from_env_rejects () =
-  List.iter
-    (fun (var, bad) ->
-      let previous = Sys.getenv_opt var in
-      let default =
+  let unset_value var =
+    match var with
+    | "TQEC_SCALE" -> Some "1"
+    | "TQEC_BENCHMARKS" -> Some (String.concat "," Suite.names)
+    | _ ->
         List.find_map
           (fun (r : Knobs.row) ->
             if r.Knobs.env = Some var then Some (r.Knobs.print Knobs.defaults)
             else None)
           Knobs.rows
-      in
+  in
+  List.iter
+    (fun (var, bad) ->
+      let previous = Sys.getenv_opt var in
       Unix.putenv var bad;
       let result = Experiments.config_from_env () in
       Unix.putenv var
-        (Option.value previous ~default:(Option.value default ~default:""));
+        (Option.value previous
+           ~default:(Option.value (unset_value var) ~default:""));
       match result with
       | Ok _ -> Alcotest.failf "%s=%s accepted" var bad
       | Error m ->
           check Alcotest.bool (var ^ " named") true
-            (String.length m >= String.length var
-            && String.sub m 0 (String.length var) = var))
+            (String.starts_with ~prefix:var m))
     [
       ("TQEC_PARTITION", "0");
       ("TQEC_EARLY_STOP", "-0.5");
       ("TQEC_RESTARTS", "0");
       ("TQEC_SEED", "-1");
       ("TQEC_EFFORT", "fast");
-    ]
+      ("TQEC_BENCHMARKS", "nosuch");
+      ("TQEC_BENCHMARKS", "4gt10-v1_81,nosuch");
+      ("TQEC_SCALE", "0");
+      ("TQEC_SCALE", "abc");
+    ];
+  (match Experiments.config_from_env () with
+  | Ok c -> check Alcotest.int "selection restored" 1 c.Experiments.scale
+  | Error m -> Alcotest.fail m);
+  match
+    Experiments.validate ~scale_from:"--scale" ~benchmarks_from:"--benchmark"
+      {
+        Experiments.pipeline = Knobs.defaults;
+        scale = 1;
+        auto_scale = false;
+        benchmarks = [ "4gt10-v1_81"; "nosuch" ];
+      }
+  with
+  | Ok _ -> Alcotest.fail "unknown -b name accepted"
+  | Error m ->
+      check Alcotest.bool "flag named" true
+        (String.starts_with ~prefix:"--benchmark" m);
+      check Alcotest.bool "suite listed" true
+        (String.ends_with ~suffix:(String.concat ", " Suite.names) m)
 
 (* ------------------------------------------------------------------ *)
 (* Knob table                                                          *)

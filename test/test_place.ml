@@ -252,12 +252,54 @@ let test_pack_uniform_footprints () =
       (assert_pack_matches_reference t xs ys)
   done
 
-(* The moved-block log over 1000 random perturb / repack / undo steps:
-   after each repack the positions and extents equal the reference; the
-   log lists exactly the blocks whose (x, y) differs from a snapshot
-   taken before the repack, each once, with the coordinates it had
-   there, so [unpack] — after [undo] on a rejection, into a copy on an
-   acceptance — gives the snapshot back bit for bit. *)
+(* The two footprint mixes the move-path properties run on, each as
+   (dims, rotatable block ids).  [small_mix]: every block rotatable,
+   sides from a small set, so block x-ranges often start or end exactly
+   where another block's does.  [suite_mix]: shaped like the paper
+   suite's placement nodes — mostly rotatable 2x2 and 4x4 squares and a
+   few rotatable 3x2 and 5x2 blocks, beside non-rotatable 17x7 blocks
+   and long 31x2 to 141x2 ones — so many moves keep every footprint in
+   place and the annealer's pack skips its repack. *)
+let small_mix n =
+  ( Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4))),
+    Array.init n Fun.id )
+
+let suite_mix n =
+  let dims =
+    Array.init n (fun i ->
+        match i mod 10 with
+        | 0 | 1 | 2 | 3 | 4 -> (2, 2)
+        | 5 | 6 -> (4, 4)
+        | 7 -> if i mod 20 = 7 then (3, 2) else (5, 2)
+        | 8 -> (17, 7)
+        | _ -> (31 + (10 * (i / 10 mod 12)), 2))
+  in
+  let rotatable =
+    List.filter (fun i -> fst dims.(i) <= 5) (List.init n Fun.id)
+  in
+  (dims, Array.of_list rotatable)
+
+(* The last pack's moved-block log lists exactly the blocks whose (x, y)
+   differs from a snapshot taken before it, each once. *)
+let log_is_diff t ~snap_xs ~snap_ys xs ys =
+  let moved = Bstar_tree.moved t in
+  let logged =
+    List.sort Int.compare (List.init (Bstar_tree.n_moved t) (fun k -> moved.(k)))
+  in
+  let diff =
+    List.filter
+      (fun b -> xs.(b) <> snap_xs.(b) || ys.(b) <> snap_ys.(b))
+      (List.init (Array.length xs) Fun.id)
+  in
+  logged = diff
+
+(* The moved-block log over 1000 random perturb / pack / undo steps on
+   each footprint mix: after each pack the positions and extents equal
+   the reference; the log lists exactly the blocks whose (x, y) differs
+   from a snapshot taken before the pack, each once, with the
+   coordinates it had there, so [unpack] — after [undo] on a rejection,
+   into a copy on an acceptance — gives the snapshot back bit for bit.
+   On the suite-shaped mix at least 30% of the packs skip the repack. *)
 let prop_moved_log_matches_diff =
   QCheck.Test.make
     ~name:"moved-block log = diff over 1000 perturb/repack/undo steps"
@@ -265,48 +307,111 @@ let prop_moved_log_matches_diff =
     QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
-      let dims =
-        Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
-      in
-      let t = Bstar_tree.create dims in
-      let xs = Array.make n 0 and ys = Array.make n 0 in
-      ignore (Bstar_tree.pack_xy t xs ys);
-      let rotatable = Array.init n Fun.id in
       let ok = ref true in
       let expect b = if not b then ok := false in
-      for _ = 1 to 1000 do
+      (* the moves on one mix; returns how many skipped the repack *)
+      let run (dims, rotatable) =
+        let n = Array.length dims in
+        let t = Bstar_tree.create dims in
+        let xs = Array.make n 0 and ys = Array.make n 0 in
+        ignore (Bstar_tree.pack_xy t xs ys);
+        let before = Bstar_tree.repacks t in
+        for _ = 1 to 1000 do
+          let snap_xs = Array.copy xs and snap_ys = Array.copy ys in
+          Bstar_tree.perturb t ~rng ~rotatable;
+          let wh = Bstar_tree.pack_xy t xs ys in
+          let rpos, rwh = Bstar_tree.pack_reference t in
+          expect (wh = rwh);
+          Array.iteri (fun b p -> expect ((xs.(b), ys.(b)) = p)) rpos;
+          expect (log_is_diff t ~snap_xs ~snap_ys xs ys);
+          if Rng.bool rng then begin
+            Bstar_tree.undo t;
+            Bstar_tree.unpack t xs ys;
+            expect (xs = snap_xs && ys = snap_ys);
+            Array.iteri
+              (fun b p -> expect ((xs.(b), ys.(b)) = p))
+              (fst (Bstar_tree.pack_reference t))
+          end
+          else begin
+            let ux = Array.copy xs and uy = Array.copy ys in
+            Bstar_tree.unpack t ux uy;
+            expect (ux = snap_xs && uy = snap_ys)
+          end;
+          expect (Bstar_tree.check t = [])
+        done;
+        1000 - (Bstar_tree.repacks t - before)
+      in
+      ignore (run (small_mix n));
+      expect (10 * run (suite_mix (n + 8)) >= 3 * 1000);
+      !ok)
+
+(* The skip's precondition under every other way of touching the tree
+   between packs, interleaved at random with the annealer's own
+   perturb / pack / undo / unpack cycle on the suite-shaped mix: direct
+   [rotate], [swap_blocks] and [move_block], a [perturb] with no pack
+   after it, [undo] without [unpack] or with an [unpack] into a copy
+   first, [unpack] into the packed buffers or into a copy, an annealer
+   pack with no [perturb] before it, and [pack] / [pack_into] into
+   fresh buffers.  Every pack equals the reference, and every annealer
+   pack logs exactly its before/after diff.  Some annealer packs must
+   still skip. *)
+let prop_pack_skip_interleaved =
+  QCheck.Test.make ~name:"pack skip = reference under interleaved edits"
+    ~count:8
+    QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let dims, rotatable = suite_mix (n + 8) in
+      let n = Array.length dims in
+      let t = Bstar_tree.create dims in
+      let xs = Array.make n 0 and ys = Array.make n 0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let packs = ref 0 in
+      let pack () =
         let snap_xs = Array.copy xs and snap_ys = Array.copy ys in
-        Bstar_tree.perturb t ~rng ~rotatable;
         let wh = Bstar_tree.pack_xy t xs ys in
+        incr packs;
         let rpos, rwh = Bstar_tree.pack_reference t in
         expect (wh = rwh);
         Array.iteri (fun b p -> expect ((xs.(b), ys.(b)) = p)) rpos;
-        let moved = Bstar_tree.moved t in
-        let logged =
-          List.sort Int.compare
-            (List.init (Bstar_tree.n_moved t) (fun k -> moved.(k)))
-        in
-        let diff =
-          List.filter
-            (fun b -> xs.(b) <> snap_xs.(b) || ys.(b) <> snap_ys.(b))
-            (List.init n Fun.id)
-        in
-        expect (logged = diff);
-        if Rng.bool rng then begin
-          Bstar_tree.undo t;
-          Bstar_tree.unpack t xs ys;
-          expect (xs = snap_xs && ys = snap_ys);
-          Array.iteri
-            (fun b p -> expect ((xs.(b), ys.(b)) = p))
-            (fst (Bstar_tree.pack_reference t))
-        end
-        else begin
-          let ux = Array.copy xs and uy = Array.copy ys in
-          Bstar_tree.unpack t ux uy;
-          expect (ux = snap_xs && uy = snap_ys)
-        end;
+        expect (log_is_diff t ~snap_xs ~snap_ys xs ys)
+      in
+      pack ();
+      for _ = 1 to 2000 do
+        (match Rng.int rng 17 with
+        | 0 -> Bstar_tree.rotate t (Rng.int rng n)
+        | 1 -> Bstar_tree.swap_blocks t (Rng.int rng n) (Rng.int rng n)
+        | 2 -> Bstar_tree.move_block t ~rng (Rng.int rng n)
+        | 3 -> Bstar_tree.perturb t ~rng ~rotatable
+        | 4 -> Bstar_tree.undo t
+        | 5 -> Bstar_tree.unpack t xs ys
+        | 6 -> Bstar_tree.unpack t (Array.copy xs) (Array.copy ys)
+        | 7 ->
+            incr packs;
+            expect (Bstar_tree.pack t = Bstar_tree.pack_reference t)
+        | 8 ->
+            let pos = Array.make n (0, 0) in
+            let wh = Bstar_tree.pack_into t pos in
+            incr packs;
+            expect ((pos, wh) = Bstar_tree.pack_reference t)
+        | 9 -> pack ()
+        | _ ->
+            Bstar_tree.perturb t ~rng ~rotatable;
+            pack ();
+            if Rng.bool rng then begin
+              Bstar_tree.undo t;
+              match Rng.int rng 4 with
+              | 0 -> ()
+              | 1 ->
+                  Bstar_tree.unpack t (Array.copy xs) (Array.copy ys);
+                  Bstar_tree.unpack t xs ys
+              | _ -> Bstar_tree.unpack t xs ys
+            end);
         expect (Bstar_tree.check t = [])
       done;
+      pack ();
+      expect (Bstar_tree.repacks t < !packs);
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -327,10 +432,12 @@ let random_nets rng n =
       in
       Array.of_list (draw [] (min k n)))
 
-(* Drive the cache exactly the way the annealer does: repack in place,
-   update from the repack's moved-block log, random accept/undo (the
-   positions reverted from the same log) — and assert the cached total
-   equals the from-scratch HPWL after every single step. *)
+(* Drive the cache exactly the way the annealer does, on each footprint
+   mix: pack in place, update from the pack's moved-block log, random
+   accept/undo (the positions reverted from the same log) — and assert
+   the cached total equals the from-scratch HPWL after every single
+   step.  On the suite-shaped mix at least 30% of the packs skip the
+   repack, so the cache also sees the skip's logs. *)
 let prop_hpwl_cache_matches_scratch =
   QCheck.Test.make
     ~name:"incremental HPWL = from-scratch over 1000 move/undo steps"
@@ -338,34 +445,38 @@ let prop_hpwl_cache_matches_scratch =
     QCheck.(pair (int_range 3 20) (int_range 1 1_000_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
-      let dims =
-        Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
-      in
-      let nets = random_nets rng n in
-      let tree = Bstar_tree.create dims in
-      let xs = Array.make n 0 and ys = Array.make n 0 in
-      ignore (Bstar_tree.pack_xy tree xs ys);
-      let cache = Hpwl_cache.create ~n_nodes:n nets in
-      ignore (Hpwl_cache.rebuild cache ~xs ~ys);
-      let rotatable = Array.init n Fun.id in
       let ok = ref true in
-      let agree () =
-        Hpwl_cache.total cache = Hpwl_cache.compute_xy nets ~xs ~ys
-      in
-      for _ = 1 to 1000 do
-        Bstar_tree.perturb tree ~rng ~rotatable;
+      (* the moves on one mix; returns how many skipped the repack *)
+      let run (dims, rotatable) =
+        let n = Array.length dims in
+        let nets = random_nets rng n in
+        let tree = Bstar_tree.create dims in
+        let xs = Array.make n 0 and ys = Array.make n 0 in
         ignore (Bstar_tree.pack_xy tree xs ys);
-        Hpwl_cache.update cache ~xs ~ys ~changed:(Bstar_tree.moved tree)
-          ~n_changed:(Bstar_tree.n_moved tree);
-        if not (agree ()) then ok := false;
-        (* randomly reject the move, as the annealer would *)
-        if Rng.bool rng then begin
-          Bstar_tree.undo tree;
-          Bstar_tree.unpack tree xs ys;
-          Hpwl_cache.restore cache;
-          if not (agree ()) then ok := false
-        end
-      done;
+        let before = Bstar_tree.repacks tree in
+        let cache = Hpwl_cache.create ~n_nodes:n nets in
+        ignore (Hpwl_cache.rebuild cache ~xs ~ys);
+        let agree () =
+          Hpwl_cache.total cache = Hpwl_cache.compute_xy nets ~xs ~ys
+        in
+        for _ = 1 to 1000 do
+          Bstar_tree.perturb tree ~rng ~rotatable;
+          ignore (Bstar_tree.pack_xy tree xs ys);
+          Hpwl_cache.update cache ~xs ~ys ~changed:(Bstar_tree.moved tree)
+            ~n_changed:(Bstar_tree.n_moved tree);
+          if not (agree ()) then ok := false;
+          (* randomly reject the move, as the annealer would *)
+          if Rng.bool rng then begin
+            Bstar_tree.undo tree;
+            Bstar_tree.unpack tree xs ys;
+            Hpwl_cache.restore cache;
+            if not (agree ()) then ok := false
+          end
+        done;
+        1000 - (Bstar_tree.repacks tree - before)
+      in
+      ignore (run (small_mix n));
+      if 10 * run (suite_mix (n + 8)) < 3 * 1000 then ok := false;
       !ok)
 
 (* ------------------------------------------------------------------ *)
@@ -558,11 +669,11 @@ let test_placer_jobs_invariant () =
     (Placer.check parallel);
   check
     Alcotest.(list int)
-    "same (width, height, depth, volume)"
+    "same (width, height, depth, volume, repacks)"
     [ serial.Placer.width; serial.Placer.height; serial.Placer.depth;
-      serial.Placer.volume ]
+      serial.Placer.volume; serial.Placer.repacks ]
     [ parallel.Placer.width; parallel.Placer.height; parallel.Placer.depth;
-      parallel.Placer.volume ];
+      parallel.Placer.volume; parallel.Placer.repacks ];
   check Alcotest.bool "same positions" true
     (serial.Placer.node_pos = parallel.Placer.node_pos);
   check Alcotest.bool "same rotations" true
@@ -776,11 +887,11 @@ let test_placer_partitioned_jobs_invariant () =
     (serial.Placer.rotated = parallel.Placer.rotated);
   check
     Alcotest.(list int)
-    "same extents and attempts"
+    "same extents, attempts and repacks"
     [ serial.Placer.width; serial.Placer.height; serial.Placer.volume;
-      serial.Placer.sa_stats.Sa.attempted ]
+      serial.Placer.sa_stats.Sa.attempted; serial.Placer.repacks ]
     [ parallel.Placer.width; parallel.Placer.height; parallel.Placer.volume;
-      parallel.Placer.sa_stats.Sa.attempted ]
+      parallel.Placer.sa_stats.Sa.attempted; parallel.Placer.repacks ]
 
 let prop_partition_well_formed =
   QCheck.Test.make ~name:"partition covers nodes within cap" ~count:60
@@ -921,6 +1032,7 @@ let suites =
         qtest prop_moved_log_matches_diff;
         Alcotest.test_case "uniform footprints" `Quick
           test_pack_uniform_footprints;
+        qtest prop_pack_skip_interleaved;
       ] );
     ("place.hpwl_cache", [ qtest prop_hpwl_cache_matches_scratch ]);
     ( "place.super_module",
