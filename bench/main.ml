@@ -7,11 +7,10 @@
      TQEC_SEED   = random seed (default 42)
      TQEC_BENCHMARKS = comma-separated subset of benchmark names
                    (default all eight)
-     TQEC_JOBS   = parallelism for the suite fan-out AND each
-                   instance's inner stages (placement multi-start,
-                   routing batches): everything feeds one persistent
-                   work-stealing pool, so nesting composes instead of
-                   oversubscribing
+     TQEC_JOBS   = parallelism for the suite fan-out; each instance's
+                   inner stages (placement multi-start, routing
+                   batches) run inline in its task, and fan out
+                   themselves only when one instance runs
                    (default: the machine's domain count; 1 = serial)
      TQEC_RESTARTS = annealing trajectories per placement (default 1)
      TQEC_EARLY_STOP = adaptive multi-start early-stop margin
@@ -46,8 +45,8 @@
                    exits non-zero on a mismatch
      TQEC_CHECK_NESTED = 1 to cross-check determinism of the fully
                    nested workload (suite instances x annealing
-                   restarts x routing batches on one pool): jobs=1 and
-                   jobs=4 suite rows must agree bit for bit *)
+                   restarts x routing batches): jobs=1 and jobs=4
+                   suite rows must agree bit for bit *)
 
 module Suite = Tqec_circuit.Suite
 module Experiments = Tqec_compress.Experiments
@@ -284,11 +283,11 @@ let regenerate_tables config =
       entries
     |> Array.to_list
   in
-  Printf.eprintf "[bench] suite wall-clock: %.1fs (jobs=%d, rss=%s)\n%!"
+  Printf.eprintf "[bench] suite wall-clock: %.1fs (jobs=%s, rss=%s)\n%!"
     (Unix.gettimeofday () -. t0)
     (match config.Experiments.pipeline.Pipeline.jobs with
-    | Some j -> j
-    | None -> Tqec_util.Pool.default_jobs ())
+    | Some j -> string_of_int j
+    | None -> "auto")
     (rss_cell ());
   print_string (Report.table1 rows);
   print_newline ();
@@ -368,13 +367,12 @@ let check_multistart () =
 (* Nested-workload determinism cross-check                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The full nesting the persistent pool must keep deterministic: suite
-   instances fan out as tasks, each instance runs annealing restarts as
-   nested tasks, and each routing iteration batches nets as
-   nested-nested tasks — all on the same scheduler.  Rows (minus wall
-   clock) must be a pure function of (seed, restarts): jobs=1 and
-   jobs=4 agree bit for bit.  Run on every `dune runtest` via
-   @bench-smoke. *)
+(* The full nesting that must stay deterministic: suite instances fan
+   out as tasks, and inside each one the annealing restarts and every
+   routing iteration's net batch call [Pool.map] again, which runs
+   inline on the instance's domain.  Rows (minus wall clock) must be a
+   pure function of (seed, restarts): jobs=1 and jobs=4 agree bit for
+   bit.  Run on every `dune runtest` via @bench-smoke. *)
 let check_nested () =
   let run jobs =
     Experiments.run_all

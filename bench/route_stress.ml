@@ -199,10 +199,11 @@ let corridor_cache_stress () =
   let cache_invariant = on1 = off1 in
   let jobs_invariant = on1 = on4 in
   let accounted = s.Counters.coarse_searches = s.Counters.cache_misses in
-  (* Steady-state scratch: the per-domain A* workspace persists in
-     domain-local storage and is warmed by the runs above (the full
-     grid-box escalation step sizes it to the largest region), so a
-     repeat run — widening ladder included — must not reallocate any
+  (* Steady-state scratch: the calling domain's A* workspace (every
+     search at jobs=1 runs there) persists in domain-local storage and
+     is warmed by the runs above (the full grid-box escalation step
+     sizes it to the largest region), so a repeat run — widening
+     ladder included — must not reallocate any
      score array. *)
   Counters.reset ();
   let _, warm = route_sparse ~corridor_cells:0 ~jobs:(Some 1) () in
@@ -281,7 +282,7 @@ let corridor_cache_stress () =
    cache certifies — and the counters record — the same lookups,
    searches and open-set traffic at jobs=1 and jobs=4.  Only
    [scratch_grows] may differ, because each domain warms its own A*
-   scratch.  tier-x1 at a corridor threshold of 64 cells negotiates
+   scratch and a batch's helper domains start with empty ones.  tier-x1 at a corridor threshold of 64 cells negotiates
    through several batch iterations, with corridor hits among them.
    At the default seed the jobs=1 pops and pushes must also equal their
    recorded values. *)

@@ -71,12 +71,11 @@ let debug_arg =
   in
   Arg.(value & flag & info [ "debug" ] ~doc)
 
-(* --partition has always defaulted from TQEC_PARTITION; the other knob
-   variables configure the bench harness only. *)
-let env_defaults () =
-  match
-    Knobs.of_env ~vars:[ "TQEC_PARTITION" ] Sys.getenv_opt Knobs.defaults
-  with
+(* The knob defaults with [vars] applied through their rows.  Pipeline
+   commands read TQEC_PARTITION and TQEC_JOBS; the other knob variables
+   configure the bench harness only. *)
+let env_defaults vars =
+  match Knobs.of_env ~vars Sys.getenv_opt Knobs.defaults with
   | Ok config -> config
   | Error msg -> die "%s" msg
 
@@ -115,7 +114,9 @@ let pipeline_knobs ?only () =
     { config with Pipeline.debug = d || debug_from_env () }
   in
   knobs_term ?only
-    Term.(const debug $ debug_arg $ (const env_defaults $ const ()))
+    Term.(
+      const debug $ debug_arg
+      $ (const env_defaults $ const [ "TQEC_PARTITION"; "TQEC_JOBS" ]))
 
 let scale_arg =
   let doc = "Scale instances down by this divisor (benchmarks only)." in
@@ -143,9 +144,7 @@ let timings_arg =
   let doc =
     "Print per-stage wall times, the placer's work (nodes, annealing \
      moves attempted and accepted, accept ratio, moves that ran the full \
-     B*-tree repack), the work-stealing \
-     scheduler's counters (tasks executed, steals, injector traffic, \
-     parks) and the router's counters after the run."
+     B*-tree repack) and the router's counters after the run."
   in
   Arg.(value & flag & info [ "timings" ] ~doc)
 
@@ -165,16 +164,6 @@ let print_timings (r : Pipeline.t) =
        (float_of_int sa.Tqec_place.Sa.accepted)
        (float_of_int sa.Tqec_place.Sa.attempted))
     placement.Tqec_place.Placer.repacks;
-  let s = Tqec_util.Pool.stats () in
-  Format.printf
-    "scheduler: workers=%d submitted=%d executed=%d stolen=%d injected=%d \
-     parks=%d@."
-    s.Tqec_util.Pool.workers s.Tqec_util.Pool.submitted
-    s.Tqec_util.Pool.executed s.Tqec_util.Pool.stolen
-    s.Tqec_util.Pool.injected s.Tqec_util.Pool.parks;
-  (match s.Tqec_util.Pool.spawn_error with
-  | None -> ()
-  | Some msg -> Format.printf "scheduler: degraded (spawn failed: %s)@." msg);
   let rc = Tqec_route.Counters.stats () in
   Format.printf
     "router: corridor-cache hits=%d misses=%d stale=%d searches \
@@ -671,7 +660,9 @@ let lint_cmd =
   let jobs_arg =
     Term.(
       const (fun c -> c.Pipeline.jobs)
-      $ knobs_term ~only:(fun r -> r.Knobs.flag = "jobs") (const Knobs.defaults))
+      $ knobs_term
+          ~only:(fun r -> r.Knobs.flag = "jobs")
+          (const env_defaults $ const [ "TQEC_JOBS" ]))
   in
   let run dirs format rule_ids baseline_path list_rules jobs =
     if list_rules then begin

@@ -72,11 +72,11 @@ let run_benchmark config (entry : Suite.entry) =
   let icm = Decompose.run (Clifford_t.decompose circuit) in
   let stats = Icm.stats icm in
   let lin1d = Baselines.lin_1d icm and lin2d = Baselines.lin_2d icm in
-  (* inner stages (placement multi-start, the router's per-iteration
-     batches) share the same persistent pool as the suite fan-out: a
-     blocked instance helps drain nested tasks, so nesting composes
-     without oversubscription and small suites soak idle workers with
-     restarts — and the output is jobs-invariant either way *)
+  (* inside the suite fan-out, inner stages (placement multi-start, the
+     router's per-iteration batches) run inline on the instance's
+     domain, so an instance's runtime counts only its own work; a
+     one-instance suite leaves them free to fan out.  The output is
+     jobs-invariant either way *)
   let run variant =
     Pipeline.run_icm ~config:{ config.pipeline with Pipeline.variant } icm
   in

@@ -132,9 +132,10 @@ let rows =
       ~docv:"N"
       ~doc:
         "Worker domains for parallel placement restarts, per-iteration \
-         routing batches, and benchmark fan-out.  $(b,auto) defers to \
-         $(b,TQEC_JOBS) or the machine's domain count; 1 forces serial \
-         execution.  Results are identical for any value."
+         routing batches, and benchmark fan-out; a stage nested in a \
+         parallel one runs inline on its task's domain.  $(b,auto) is \
+         the machine's domain count; 1 forces serial execution.  \
+         Results are identical for any value."
       (optional "auto" (int_from 1 "a positive worker count"))
       (fun c -> c.Pipeline.jobs)
       (fun c jobs -> { c with Pipeline.jobs });

@@ -26,8 +26,8 @@ type config = {
           Deterministic in (seed, restarts) regardless of [jobs] *)
   jobs : int option;
       (** worker domains for multi-start placement and the per-iteration
-          routing batches; [None] defers to [TQEC_JOBS] / the machine's
-          domain count.  Results are identical for any value *)
+          routing batches; [None] is the machine's domain count.
+          Results are identical for any value *)
   early_stop_margin : float option;
       (** adaptive multi-start early-stop margin (see
           {!Tqec_place.Placer.config}); [None] disables early stopping *)

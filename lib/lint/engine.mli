@@ -27,7 +27,7 @@ val ml_files : string -> string list
 val lint_dirs :
   ?jobs:int option -> rules:Rule.t list -> string list -> Rule.finding list
 (** Lint every [.ml] file under the given directories, scanning files
-    in parallel on the shared pool ([jobs] as in {!Tqec_util.Pool.map});
+    in parallel ([jobs] as in {!Tqec_util.Pool.map});
     the result order is independent of [jobs]. *)
 
 (** {2 Baseline} *)

@@ -263,9 +263,9 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
   in
   (* Adaptive multi-start: K independent trajectories with per-lane rng
      streams derived from the seed before the fan-out — always lane id,
-     never worker id, so it doesn't matter which pool domain (or helping
-     parent — this map may itself run inside a suite-instance task on
-     the shared work-stealing pool) advances a lane.  Lanes advance in
+     never worker id, so it doesn't matter which domain advances a lane
+     (inside a suite-instance task the lanes run inline, one after
+     another, on that task's domain).  Lanes advance in
      fixed-size chunks, one [Pool.map] per epoch; at each chunk end a
      lane publishes its best into a shared [Atomic] (CAS-min).  Early
      stopping is decided only at the epoch barriers, from the barrier
@@ -402,8 +402,8 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
   in
   (* Partition seeds are fixed offsets from the base seed, so results
      are a pure function of (seed, restarts, partition cap) — never of
-     the job count.  anneal_group fans its restart lanes out on the same
-     pool; nested maps compose on the work-stealing scheduler. *)
+     the job count.  anneal_group's restart-lane maps run inline inside
+     a partition's task. *)
   let results =
     Pool.map ?jobs:config.jobs
       (fun (pid, p_dims, p_nets, p_rotatable) ->

@@ -28,9 +28,9 @@ type config = {
           the single-start trajectory, so [restarts = 1] matches
           historical results exactly *)
   jobs : int option;
-      (** worker domains for multi-start; [None] defers to [TQEC_JOBS] /
-          the machine's domain count (see {!Tqec_util.Pool}).  The
-          result never depends on this value *)
+      (** worker domains for multi-start; [None] is the machine's
+          domain count (see {!Tqec_util.Pool}).  The result never
+          depends on this value *)
   early_stop_margin : float option;
       (** adaptive multi-start: lanes publish their best cost into a
           shared [Atomic] at fixed chunk barriers, and a lane that has

@@ -1,9 +1,9 @@
-(* Process-wide routing diagnostics, in the style of [Pool.stats]:
-   lock-free atomic counters bumped on the router's hot paths, snapshot
-   on demand.  Counters are observability only — they never feed back
-   into routing decisions, so their (scheduling-dependent) intermediate
-   values cannot perturb results; totals over a deterministic run are
-   themselves deterministic. *)
+(* Process-wide routing diagnostics: lock-free atomic counters bumped
+   on the router's hot paths, snapshot on demand.  Counters are
+   observability only — they never feed back into routing decisions, so
+   their (scheduling-dependent) intermediate values cannot perturb
+   results; totals over a deterministic run are themselves
+   deterministic. *)
 
 let cache_hits = Atomic.make 0
 let cache_misses = Atomic.make 0

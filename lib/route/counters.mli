@@ -1,5 +1,5 @@
-(** Process-wide routing diagnostics in the style of {!Tqec_util.Pool.stats}:
-    atomic counters bumped on the router's hot paths, read as a snapshot.
+(** Process-wide routing diagnostics: atomic counters bumped on the
+    router's hot paths, read as a snapshot.
 
     The counters are observability only: routing decisions never read
     them, so they cannot perturb results.  Over a deterministic run the
@@ -36,7 +36,10 @@ val flat_fallbacks : int Atomic.t
 val scratch_grows : int Atomic.t
 (** A* scratch array reallocations ({!Astar.scratch} growth events).
     At steady state — scratch warmed to the largest region seen — new
-    searches and corridor-widening escalations must not grow it. *)
+    searches and corridor-widening escalations must not grow it.  A
+    parallel batch's helper domains live for that batch only, so above
+    one job each batch warms fresh scratches and the count depends on
+    the job count. *)
 
 val astar_pops : int Atomic.t
 (** Open-set pops over every A* pass (flat, coarse and fine), stale

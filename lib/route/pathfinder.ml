@@ -61,8 +61,10 @@ let dedup_cells cells =
     cells
 
 (* Every domain keeps its own A* workspace: route_net is called
-   concurrently from pool workers, and the scratch holds the open queue
-   and score arrays. *)
+   concurrently from a batch's [Pool.map], and the scratch holds the
+   open queue and score arrays.  A helper domain lives for one map, so
+   its scratch starts empty and grows on each batch (counted as
+   [scratch_grows]); the caller's persists across the run. *)
 let scratch_key = Domain.DLS.new_key Astar.create_scratch
 
 (* ------------------------------------------------------------------ *)
@@ -81,9 +83,9 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
 (* bit-identical with the cache on or off, for any worker count; only  *)
 (* the work saved differs.                                             *)
 (*                                                                     *)
-(* Tables are per-net: a net is routed by exactly one pool task per    *)
-(* iteration, so its table is never touched concurrently; the          *)
-(* [Pool.map] completion barrier orders accesses across iterations.    *)
+(* Tables are per-net: a net is routed by exactly one map task per     *)
+(* iteration, so its table is never touched concurrently; [Pool.map]'s *)
+(* join orders accesses across iterations.                             *)
 (*                                                                     *)
 (* A generation stamp alone would self-invalidate on every reroute:    *)
 (* the net's own claim (+1 along its path) and the rip-up that         *)
@@ -415,8 +417,8 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
    tile summaries, [Grid.generation] and [Grid.region_unchanged_since]).
    Its writes go only to the per-domain A* scratch ([Domain.DLS]), the
    net's own corridor-cache table (one task per net) and atomic
-   counters.  [Pool.map]'s submit and completion barrier orders the
-   commit loop's writes before and after the batch. *)
+   counters.  [Pool.map]'s spawn and join order the commit loop's
+   writes before and after the batch. *)
 let route_all grid config nets =
   List.iter
     (fun (name, v) ->
@@ -426,9 +428,6 @@ let route_all grid config nets =
       ("penalty_growth", config.penalty_growth);
       ("history_increment", config.history_increment);
     ];
-  let jobs =
-    match config.jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
   let routes : (int, Vec3.t list) Hashtbl.t = Hashtbl.create 64 in
   let rip_up net_id =
     match Hashtbl.find_opt routes net_id with
@@ -453,7 +452,7 @@ let route_all grid config nets =
   in
   let route_set = ref nets in
   (* Corridor-cache tables, one per net, allocated up front: a net is
-     routed by exactly one pool task per iteration, so a task only ever
+     routed by exactly one map task per iteration, so a task only ever
      mutates its own net's table, and the outer table is read-only
      after this point ([Hashtbl.find_opt] from concurrent tasks is
      safe).  Entries self-invalidate via the summary generations — see
@@ -563,7 +562,7 @@ let route_all grid config nets =
           batch
       in
       let found =
-        Pool.map ~jobs
+        Pool.map ?jobs:config.jobs
           (fun (n, exclude) ->
             route_net ~corridor_cells:config.corridor_cells
               ?cache:(cache_of n) grid ~exclude ~penalty:penalty_now ~margin n)
@@ -587,8 +586,8 @@ let route_all grid config nets =
     end
     else incr stagnant;
     if config.debug then
-      Printf.eprintf "[pathfinder] iter=%d rerouted=%d overused=%d jobs=%d\n%!"
-        !iterations_used (Array.length batch) (List.length overused) jobs;
+      Printf.eprintf "[pathfinder] iter=%d rerouted=%d overused=%d\n%!"
+        !iterations_used (Array.length batch) (List.length overused);
     if overused = [] && !unrouted = [] then finished := true
     else begin
       List.iter

@@ -28,9 +28,9 @@ type config = {
   history_increment : int;
   region_margin : int;
   jobs : int option;
-      (** worker domains for the per-iteration net batch; [None] defers
-          to [TQEC_JOBS] / the machine's domain count, [Some 1] routes the
-          batch serially (same results either way) *)
+      (** worker domains for the per-iteration net batch; [None] is the
+          machine's domain count, [Some 1] routes the batch serially
+          (same results either way) *)
   corridor_cells : int;
       (** search-window volume (in cells) above which a connection takes
           the hierarchical path: a coarse corridor over the grid's tile

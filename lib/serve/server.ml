@@ -68,10 +68,10 @@ type state = {
          bookkeeping, never across a pipeline run *)
   compute : Mutex.t;
       (* serializes pipeline execution: systhreads within a domain share
-         Domain.DLS (the router's A* scratch, the pool's current key),
-         so two interleaved pipelines in one domain would corrupt each
-         other.  Parallelism still comes from the domain pool inside the
-         single running pipeline. *)
+         Domain.DLS (the router's A* scratch, the flag that makes a
+         nested [Pool.map] run inline), so two interleaved pipelines in
+         one domain would corrupt each other.  Parallelism still comes
+         from the helper domains the running pipeline's maps spawn. *)
   cache : Cache.t;
   mutable in_flight : int;  (* admitted cache-miss requests *)
   mutable served : int;
@@ -115,14 +115,20 @@ let circuit_of_input = function
           | None -> Error (Printf.sprintf "unknown benchmark %S" name)))
 
 let pipeline_config st (k : Protocol.knobs) =
+  (* An [auto] request gets this machine's domain count, capped by
+     [max_jobs].  Like verify, it is explicit per request — a daemon
+     never consults its own environment (TQEC_JOBS included) for
+     request-scoped behavior *)
   let jobs =
-    match (k.Protocol.jobs, st.cfg.max_jobs) with
-    | None, cap -> cap
-    | Some j, None -> Some (max 1 j)
-    | Some j, Some m -> Some (max 1 (min j m))
+    match st.cfg.max_jobs with
+    | None -> k.Protocol.jobs
+    | Some m ->
+        let j =
+          Option.value k.Protocol.jobs
+            ~default:(Domain.recommended_domain_count ())
+        in
+        Some (max 1 (min j m))
   in
-  (* verify is explicit per request — a daemon never consults its own
-     environment for request-scoped behavior *)
   { (Protocol.config_of_knobs k) with Pipeline.jobs }
 
 let stats_snapshot st =

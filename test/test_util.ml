@@ -441,9 +441,9 @@ let test_pool_exception_propagates () =
   check Alcotest.bool "exception re-raised" true raised
 
 let test_pool_exception_runs_all_and_reuses () =
-  (* a raising task must not stop the remaining tasks, poison the pool,
-     or leak unjoined domains: every other task still runs exactly once
-     and the very next call on the same pool succeeds *)
+  (* a raising task must not stop the remaining tasks or leak unjoined
+     domains: every other task still runs exactly once and the very
+     next map succeeds *)
   let ran = Atomic.make 0 in
   (try
      ignore
@@ -456,7 +456,7 @@ let test_pool_exception_runs_all_and_reuses () =
    with Failure _ -> ());
   check Alcotest.int "all tasks still ran" 24 (Atomic.get ran);
   let again = Pool.map ~jobs:4 succ (Array.init 8 (fun i -> i)) in
-  check Alcotest.bool "pool usable after a failure" true
+  check Alcotest.bool "map runs after a failure" true
     (again = Array.init 8 (fun i -> i + 1))
 
 let test_pool_lowest_index_exception_wins () =
@@ -513,10 +513,9 @@ let test_pool_balances_uneven_tasks () =
   check Alcotest.bool "each task once" true (Array.for_all (( = ) 1) hits)
 
 let test_pool_nested_map () =
-  (* nested Pool.map inside Pool.map must compose on the one persistent
-     scheduler — no deadlock at any job count, and the composed result
-     is the serial one (blocked parents help-drain instead of parking
-     for ever on work only they hold) *)
+  (* nested Pool.map inside Pool.map composes at every job count: the
+     inner maps run inline on their outer task's domain, so the round
+     ends without deadlock and the composed result is the serial one *)
   let input = Array.init 12 (fun i -> i) in
   let expected =
     Array.map
@@ -538,9 +537,9 @@ let test_pool_nested_map () =
     [ 1; 2; 4; 8 ]
 
 let test_pool_nested_exception () =
-  (* an exception inside an inner map must surface through the outer
-     map as the outer task's failure, lowest outer index first, and the
-     scheduler stays usable *)
+  (* an exception inside an inner (inline) map must surface through the
+     outer map as the outer task's failure, lowest outer index first,
+     and the next map still runs *)
   let seen =
     try
       ignore
@@ -559,48 +558,15 @@ let test_pool_nested_exception () =
   in
   check Alcotest.string "lowest outer index wins" "inner 2" seen;
   let again = Pool.map ~jobs:4 succ (Array.init 8 (fun i -> i)) in
-  check Alcotest.bool "pool usable after nested failure" true
+  check Alcotest.bool "map runs after a nested failure" true
     (again = Array.init 8 (fun i -> i + 1))
-
-let test_pool_helper_drains_without_workers () =
-  (* a pool with zero worker domains still completes any map: the
-     blocked submitter helps-drain its own submissions.  This is the
-     degenerate case of the help-first protocol — if the caller could
-     park without helping, this would deadlock. *)
-  let pool = Pool.create ~workers:0 in
-  let got = Pool.map ~pool ~jobs:4 (fun i -> i * 3) (Array.init 32 (fun i -> i)) in
-  check Alcotest.bool "helper drained every task" true
-    (got = Array.init 32 (fun i -> i * 3));
-  (* nested on the worker-less pool too *)
-  let nested =
-    Pool.map ~pool ~jobs:4
-      (fun o -> Array.length (Pool.map ~pool ~jobs:4 succ (Array.make (o + 1) 0)))
-      (Array.init 5 (fun o -> o))
-  in
-  check Alcotest.bool "nested without workers" true
-    (nested = [| 1; 2; 3; 4; 5 |]);
-  Pool.shutdown pool
-
-let test_pool_spawn_error_surfaced () =
-  (* healthy pools report no spawn failure; the field is the seam
-     through which a Domain.spawn failure (recorded, not swallowed)
-     reaches operators *)
-  let pool = Pool.create ~workers:1 in
-  ignore (Pool.map ~pool ~jobs:1 succ (Array.init 4 (fun i -> i)));
-  (match Pool.stats ~pool () with
-  | { Pool.spawn_error = None; _ } -> ()
-  | { Pool.spawn_error = Some msg; _ } ->
-      Alcotest.failf "unexpected spawn error: %s" msg);
-  Pool.shutdown pool;
-  (* the global pool too *)
-  check Alcotest.bool "global pool healthy" true
-    ((Pool.stats ()).Pool.spawn_error = None)
 
 let test_pool_jobs_invariance_combined () =
   (* the jobs-invariance contract on a composed workload: an outer map
      (suite instances) over inner maps with data-dependent sizes
-     (restart lanes / routing batches) must give identical results for
-     every job count, including the serial path *)
+     (restart lanes / routing batches), which run inline in their outer
+     task, must give identical results for every job count, including
+     the serial path *)
   let workload jobs =
     Pool.map ~jobs
       (fun o ->
@@ -623,6 +589,33 @@ let test_pool_jobs_invariance_combined () =
         true
         (workload jobs = serial))
     [ 2; 4; 8 ]
+
+let test_pool_nested_runs_own_tasks () =
+  (* a map task runs only its own work: a map called inside it runs
+     inline on the task's domain, so no sibling task can start there
+     while the task is in progress and land inside its clock *)
+  let in_progress = Domain.DLS.new_key (fun () -> false) in
+  let clashes = Atomic.make 0 in
+  let spin k =
+    let acc = ref k in
+    for i = 1 to 20_000 do
+      acc := ((!acc * 31) + i) land 0xFFFF
+    done;
+    !acc
+  in
+  ignore
+    (Pool.map ~jobs:2
+       (fun o ->
+         if Domain.DLS.get in_progress then Atomic.incr clashes;
+         Domain.DLS.set in_progress true;
+         let inner =
+           Pool.map ~jobs:2 (fun i -> spin ((o * 8) + i)) (Array.init 8 Fun.id)
+         in
+         Domain.DLS.set in_progress false;
+         Array.fold_left ( + ) 0 inner)
+       (Array.init 8 Fun.id));
+  check Alcotest.int "tasks started inside another task" 0
+    (Atomic.get clashes)
 
 let test_rng_lane_zero_is_create () =
   let a = Rng.lane 42 0 and b = Rng.create 42 in
@@ -723,12 +716,10 @@ let suites =
         Alcotest.test_case "nested map composes" `Quick test_pool_nested_map;
         Alcotest.test_case "nested exception surfaces" `Quick
           test_pool_nested_exception;
-        Alcotest.test_case "helper drains without workers" `Quick
-          test_pool_helper_drains_without_workers;
-        Alcotest.test_case "spawn error surfaced in stats" `Quick
-          test_pool_spawn_error_surfaced;
         Alcotest.test_case "combined jobs invariance" `Quick
           test_pool_jobs_invariance_combined;
+        Alcotest.test_case "nested map runs only its own tasks" `Quick
+          test_pool_nested_runs_own_tasks;
       ] );
     ( "util.rng-lanes",
       [
