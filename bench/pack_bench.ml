@@ -33,7 +33,7 @@ let () =
   let xs = Array.make n 0 and ys = Array.make n 0 in
   ignore (Bstar_tree.pack_xy t xs ys);
   let initial = Bstar_tree.repacks t in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let acc = ref 0 in
   for _ = 1 to moves do
     Bstar_tree.perturb t ~rng ~rotatable;
@@ -47,7 +47,7 @@ let () =
   let repacks = Bstar_tree.repacks t - initial in
   Printf.printf "%d blocks, %d moves: %.3fs (checksum %d, repacks %d)\n" n
     moves
-    (Unix.gettimeofday () -. t0)
+    (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
     !acc repacks;
   let mismatch what got = function
     | Some e when e <> got ->

@@ -213,7 +213,8 @@ let corridor_cache_stress () =
      hierarchical path carries the whole iteration 2+ re-route traffic.
      Nets whose key regions stay generation-quiet across iterations
      replay their corridors; routes must still match the uncached run
-     bit for bit (fingerprint equality through the full pipeline). *)
+     bit for bit (fingerprint equality through the full pipeline), and
+     the uncached run must record no hit. *)
   let pipeline_run corridor_cache =
     match Suite.find "4gt10-v1_81" with
     | None -> None
@@ -235,7 +236,9 @@ let corridor_cache_stress () =
   Counters.reset ();
   let cached = pipeline_run true in
   let ps = Counters.stats () in
+  Counters.reset ();
   let uncached = pipeline_run false in
+  let off_hits = (Counters.stats ()).Counters.cache_hits in
   let pipeline_hits = ps.Counters.cache_hits in
   let pipeline_invariant =
     match (cached, uncached) with
@@ -245,9 +248,10 @@ let corridor_cache_stress () =
   Printf.printf
     "[route-stress] corridor-cache     cache-invariant=%b jobs-invariant=%b \
      misses=%d stale=%d accounted=%b steady-scratch-grows=%d \
-     pipeline-hits=%d pipeline-invariant=%b\n%!"
+     pipeline-hits=%d off-hits=%d pipeline-invariant=%b\n%!"
     cache_invariant jobs_invariant s.Counters.cache_misses
-    s.Counters.cache_stale accounted grows pipeline_hits pipeline_invariant;
+    s.Counters.cache_stale accounted grows pipeline_hits off_hits
+    pipeline_invariant;
   if not cache_invariant then
     Printf.eprintf
       "[route-stress]   error: routes differ between corridor-cache on and \
@@ -270,12 +274,16 @@ let corridor_cache_stress () =
     Printf.eprintf
       "[route-stress]   error: corridor cache recorded no hits on the \
        congested pipeline workload\n%!";
+  if off_hits > 0 then
+    Printf.eprintf
+      "[route-stress]   error: %d corridor-cache hits with the cache off\n%!"
+      off_hits;
   if not pipeline_invariant then
     Printf.eprintf
       "[route-stress]   error: pipeline fingerprint differs between \
        corridor-cache on and off\n%!";
   warm.Pathfinder.success && cache_invariant && jobs_invariant && accounted
-  && grows = 0 && pipeline_hits > 0 && pipeline_invariant
+  && grows = 0 && pipeline_hits > 0 && off_hits = 0 && pipeline_invariant
 
 (* Router counters are jobs-invariant on the corridor path too: batch
    workers search the live grid at every worker count, so the corridor

@@ -28,9 +28,19 @@ let die fmt =
       exit 2)
     fmt
 
-let load_circuit input =
+(* --scale divides a suite benchmark's size, and nothing else's: a
+   scale below 1, or above 1 for a tier or a file, exits 2, worded like
+   the table commands' --scale and the daemon's refusal. *)
+let check_scale input scale =
+  if scale < 1 then
+    die "--scale: %S is not a scale (an integer >= 1)" (string_of_int scale);
+  if scale > 1 && Suite.find input = None then
+    die "--scale applies to suite benchmarks only, not %S" input
+
+let load_circuit ?(scale = 1) input =
+  check_scale input scale;
   match Suite.find input with
-  | Some entry -> Suite.circuit entry
+  | Some entry -> Suite.scaled ~factor:scale entry
   | None -> (
       match Tqec_circuit.Generator.tier_of_name input with
       | Some c -> c
@@ -64,6 +74,12 @@ let input_arg =
    per process invocation, passed down as explicit config — library code
    below never captures TQEC_DEBUG ambiently. *)
 let debug_from_env () = Sys.getenv_opt "TQEC_DEBUG" <> None
+
+(* TQEC_VERIFY (set, and not "0") makes every run validate itself. *)
+let verify_from_env () =
+  match Sys.getenv_opt "TQEC_VERIFY" with
+  | Some "" | Some "0" | None -> false
+  | Some _ -> true
 
 let debug_arg =
   let doc =
@@ -111,7 +127,12 @@ let knobs_term ?(only = fun _ -> true) base =
    over the environment's defaults. *)
 let pipeline_knobs ?only () =
   let debug d config =
-    { config with Pipeline.debug = d || debug_from_env () }
+    {
+      config with
+      Pipeline.debug = d || debug_from_env ();
+      verify =
+        (if verify_from_env () then Some true else config.Pipeline.verify);
+    }
   in
   knobs_term ?only
     Term.(
@@ -119,7 +140,10 @@ let pipeline_knobs ?only () =
       $ (const env_defaults $ const [ "TQEC_PARTITION"; "TQEC_JOBS" ]))
 
 let scale_arg =
-  let doc = "Scale instances down by this divisor (benchmarks only)." in
+  let doc =
+    "Scale a suite benchmark down by this divisor (1 = full size).  A \
+     tier or a file takes only 1."
+  in
   Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
 
 let stats_cmd =
@@ -186,11 +210,7 @@ let porcelain_arg =
 
 let compress_cmd =
   let run input config scale optimize timings porcelain =
-    let c =
-      match Suite.find input with
-      | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
-      | None -> load_circuit input
-    in
+    let c = load_circuit ~scale input in
     let c =
       if optimize then begin
         let c' = Tqec_circuit.Optimize.run c in
@@ -239,7 +259,7 @@ let benchmarks_arg =
 (* Each table runs both the dual-only baseline and the full flow, so it
    takes every knob but the variant.  An unknown -b name or a --scale
    below 1 exits 2 before anything runs. *)
-let table_cmd name doc render =
+let table_cmd ?(man = []) name doc render =
   let run pipeline scale benchmarks =
     let config =
       {
@@ -256,7 +276,7 @@ let table_cmd name doc render =
     | Ok config -> print_string (render config)
     | Error msg -> die "%s" msg
   in
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (Cmd.info name ~doc ~man)
     Term.(
       const run
       $ pipeline_knobs ~only:(fun r -> r.Knobs.flag <> "variant") ()
@@ -272,6 +292,14 @@ let table2_cmd =
 
 let table3_cmd =
   table_cmd "table3" "Regenerate Table 3 (volume vs Hsu [10])."
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "The runtime cells are each row's wall time.  Compare them at \
+           $(b,-j 1): at $(b,-j 2), rows that share one process have \
+           read up to 31% slower, for a cause not yet confirmed.";
+      ]
     (fun config -> Report.table3 (Experiments.run_all config))
 
 let fig1_cmd =
@@ -306,11 +334,7 @@ let export_cmd =
              still printed to stderr).")
   in
   let run input config scale out force =
-    let c =
-      match Suite.find input with
-      | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
-      | None -> load_circuit input
-    in
+    let c = load_circuit ~scale input in
     let r = Pipeline.run ~config c in
     (* Undocumented test hook: plant a fault after the run so the
        export-gate regression rule (bench/dune) can prove the gate
@@ -388,11 +412,7 @@ let check_cmd =
     Arg.(value & flag & info [ "fingerprint" ] ~doc)
   in
   let run input config scale fingerprint stages =
-    let c =
-      match Suite.find input with
-      | Some entry -> Suite.scaled ~factor:(max 1 scale) entry
-      | None -> load_circuit input
-    in
+    let c = load_circuit ~scale input in
     let r = Pipeline.run ~config c in
     let stages = match stages with [] -> None | ss -> Some ss in
     let report = Pipeline.verify ?stages r in
@@ -537,37 +557,36 @@ let request_cmd =
           | Some name -> name
           | None -> die "missing CIRCUIT (or use --stats / --shutdown)"
         in
+        check_scale name scale;
         let input =
-          match Suite.find name with
-          | Some _ -> Protocol.Named { name; scale = max 1 scale }
-          | None ->
-              if Tqec_circuit.Generator.tier_of_name name <> None then
-                Protocol.Named { name; scale = max 1 scale }
-              else if Sys.file_exists name then
-                if Filename.check_suffix name ".qct" then
-                  let ic = open_in_bin name in
-                  let text =
-                    Fun.protect
-                      ~finally:(fun () -> close_in_noerr ic)
-                      (fun () -> really_input_string ic (in_channel_length ic))
-                  in
-                  Protocol.Qct
-                    {
-                      name =
-                        Filename.remove_extension (Filename.basename name);
-                      text;
-                    }
-                else
-                  die
-                    "%S: only .qct fixtures can be sent inline (decompose \
-                     .real files locally first)"
-                    name
-              else
-                die
-                  "unknown benchmark %S (not a suite name, not a tier-x<k> \
-                   scale tier, not a .qct file); suite: %s"
-                  name
-                  (String.concat ", " Suite.names)
+          if
+            Suite.find name <> None
+            || Tqec_circuit.Generator.tier_of_name name <> None
+          then Protocol.Named { name; scale }
+          else if Sys.file_exists name then
+            if Filename.check_suffix name ".qct" then
+              let ic = open_in_bin name in
+              let text =
+                Fun.protect
+                  ~finally:(fun () -> close_in_noerr ic)
+                  (fun () -> really_input_string ic (in_channel_length ic))
+              in
+              Protocol.Qct
+                {
+                  name = Filename.remove_extension (Filename.basename name);
+                  text;
+                }
+            else
+              die
+                "%S: only .qct fixtures can be sent inline (decompose .real \
+                 files locally first)"
+                name
+          else
+            die
+              "unknown benchmark %S (not a suite name, not a tier-x<k> scale \
+               tier, not a .qct file); suite: %s"
+              name
+              (String.concat ", " Suite.names)
         in
         let knobs = { (Protocol.knobs_of_config config) with verify } in
         Protocol.Compress { input; knobs }

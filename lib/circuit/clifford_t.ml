@@ -1,6 +1,3 @@
-let toffoli_t_count = 7
-let toffoli_cnot_count = 6
-
 (* Standard Toffoli network: H t; CX b t; Tdg t; CX a t; T t; CX b t;
    Tdg t; CX a t; T b; T t; H t; CX a b; T a; Tdg b; CX a b. *)
 let toffoli_network a b t =

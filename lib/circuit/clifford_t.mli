@@ -6,11 +6,6 @@
     T-count (hence 7 |A> states, cf. Table 1 where #|A> is always a
     multiple of 7). *)
 
-(** [toffoli_t_count] = 7, [toffoli_cnot_count] = 6. *)
-val toffoli_t_count : int
-
-val toffoli_cnot_count : int
-
 (** [lower c] maps a {NOT, CNOT, Toffoli} circuit (Clifford+T gates pass
     through) to Clifford+T.
     @raise Invalid_argument if [c] still contains MCT/SWAP/Fredkin gates

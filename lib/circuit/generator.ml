@@ -180,9 +180,6 @@ type mix = {
   w_cnot : int;
 }
 
-let uniform_mix = { w_h = 2; w_s = 2; w_t = 2; w_x = 2; w_cnot = 2 }
-let all_t_mix = { w_h = 0; w_s = 0; w_t = 1; w_x = 0; w_cnot = 0 }
-
 let random_clifford_t_mix ~seed ~n_qubits ~n_idle ~n_gates ~mix =
   if n_qubits < 1 then
     invalid_arg "Generator.random_clifford_t_mix: n_qubits must be positive";

@@ -70,9 +70,6 @@ type mix = {
   w_cnot : int;  (** ignored when fewer than 2 active qubits *)
 }
 
-val uniform_mix : mix
-val all_t_mix : mix
-
 (** [random_clifford_t_mix ~seed ~n_qubits ~n_idle ~n_gates ~mix] is the
     parameterized companion of {!random_clifford_t}: gates are drawn
     with the given kind weights and land only on the first

@@ -57,7 +57,15 @@ let config_from_env ?(pipeline = Knobs.defaults) () =
       | Some scale ->
           validate ~scale_from:"TQEC_SCALE" ~benchmarks_from:"TQEC_BENCHMARKS"
             {
-              pipeline = { pipeline with debug = env "TQEC_DEBUG" <> None };
+              pipeline =
+                {
+                  pipeline with
+                  debug = env "TQEC_DEBUG" <> None;
+                  verify =
+                    (match env "TQEC_VERIFY" with
+                    | Some "" | Some "0" | None -> pipeline.verify
+                    | Some _ -> Some true);
+                };
               scale;
               auto_scale = env "TQEC_FULLSIZE" = None;
               benchmarks;

@@ -37,17 +37,15 @@ val validate :
     (TQEC_EFFORT, TQEC_SEED, TQEC_RESTARTS, TQEC_JOBS, TQEC_EARLY_STOP,
     TQEC_PARTITION; see {!Knobs}) on top of [pipeline] (default
     {!Knobs.defaults}) and reads TQEC_SCALE, TQEC_BENCHMARKS (unset =
-    all eight), TQEC_FULLSIZE and TQEC_DEBUG.  A knob variable its row
-    rejects is [Error] naming the variable, and so is a TQEC_SCALE that
-    is not an integer or a selection {!validate} rejects.  All reads
+    all eight), TQEC_FULLSIZE, TQEC_DEBUG and TQEC_VERIFY (set, and not
+    ["0"], validates every run).  A knob variable its row rejects is
+    [Error] naming the variable, and so is a TQEC_SCALE that is not an
+    integer or a selection {!validate} rejects.  All reads
     happen at call time (an entry point builds its defaults once per
     invocation); nothing is captured at module load, so a long-running
     process never freezes these. *)
 val config_from_env :
   ?pipeline:Pipeline.config -> unit -> (config, string) result
-
-(** [run_benchmark config entry] measures one suite entry end to end. *)
-val run_benchmark : config -> Tqec_circuit.Suite.entry -> Report.row
 
 (** [run_all config] measures the selected benchmarks in table order,
     fanning instances out over [config.jobs] domains; rows keep suite

@@ -178,7 +178,7 @@ let rows =
          replays a net's coarse corridor when the grid's tile summary \
          generations prove it unchanged, $(b,off) recomputes every \
          coarse search.  Routes are bit-identical either way — off \
-         exists for cross-checks and benchmark baselines."
+         exists for cross-checks."
       (enum (fun b -> if b then "on" else "off") [ true; false ])
       (fun c -> c.Pipeline.corridor_cache)
       (fun c corridor_cache -> { c with Pipeline.corridor_cache });

@@ -382,18 +382,7 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
       timings = List.rev !timings;
     }
   in
-  let want_verify =
-    match config.verify with
-    | Some explicit -> explicit
-    | None -> (
-        (* env-read: call-time capture — consulted once per run, never
-           frozen at module load, so a daemon re-reads it per request;
-           request-scoped control goes through [config.verify]. *)
-        match Sys.getenv_opt "TQEC_VERIFY" with
-        | Some "" | Some "0" | None -> false
-        | Some _ -> true)
-  in
-  if want_verify then begin
+  if config.verify = Some true then begin
     let report = verify r in
     if not (Tqec_verify.Violation.ok report) then begin
       prerr_string (Tqec_verify.Violation.render report);

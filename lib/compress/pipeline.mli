@@ -46,8 +46,7 @@ type config = {
   corridor_cache : bool;
       (** corridor reuse across negotiation iterations (see
           {!Tqec_route.Pathfinder.config}; default [true]).  Routes are
-          bit-identical either way — [false] exists for cross-checks
-          and benchmark baselines *)
+          bit-identical either way — [false] exists for cross-checks *)
   sa_moves_cap : int option;
       (** hard ceiling on annealing moves per trajectory (see
           {!Tqec_place.Placer.config}); [None] (the default) keeps the
@@ -60,10 +59,11 @@ type config = {
           requests inside the serving daemon — are isolated; the CLI
           layer defaults it from the environment *)
   verify : bool option;
-      (** [Some true] forces the whole-pipeline translation validation
-          after the run ({!verify}), [Some false] disables it; [None]
-          (the default) defers to the [TQEC_VERIFY] environment hook,
-          which is re-read on every call (never captured at load time) *)
+      (** [Some true] runs the whole-pipeline translation validation
+          after the run ({!verify}); [Some false] and [None] (the
+          default) skip it.  The CLI and the bench harness set
+          [Some true] when [TQEC_VERIFY] is set (and not ["0"]); the
+          library never reads the environment for it *)
 }
 
 val default_config : config
@@ -122,10 +122,9 @@ val run :
 (** [run_icm ?config ?on_stage icm] enters the flow after the preprocess
     stage.
 
-    When [config.verify] asks for it (explicitly, or via the [TQEC_VERIFY]
-    environment hook re-read on each call), the full translation
-    validation ({!verify}) runs on the result and a violated invariant
-    raises {!Stage_failure} after rendering the report to stderr. *)
+    When [config.verify = Some true], the full translation validation
+    ({!verify}) runs on the result and a violated invariant raises
+    {!Stage_failure} after rendering the report to stderr. *)
 val run_icm :
   ?config:config -> ?on_stage:(string -> float -> unit) ->
   Tqec_icm.Icm.t -> t

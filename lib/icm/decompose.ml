@@ -1,6 +1,3 @@
-let t_gadget_lines = 6
-let t_gadget_cnots = 6
-
 type builder = {
   mutable n_lines : int;
   mutable n_cnots : int;

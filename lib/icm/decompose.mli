@@ -22,9 +22,3 @@
     {!Tqec_circuit.Clifford_t.decompose}). *)
 
 val run : Tqec_circuit.Circuit.t -> Icm.t
-
-(** [t_gadget_lines] = 6, [t_gadget_cnots] = 6: the calibration constants
-    documented above, exposed for tests. *)
-val t_gadget_lines : int
-
-val t_gadget_cnots : int

@@ -88,43 +88,48 @@ let build_nets (g : Pd_graph.t) (sm : Super_module.t) (dual : Dual_bridge.t) =
 
 let hpwl = Hpwl_cache.compute
 
-(* Force-directed placement: repeatedly (1) compute each block's desired
-   position as the centroid of its net mates, (2) order blocks by the
-   desired position, (3) legalize by shelf packing in that order.  The
-   best iteration by the same cost function wins. *)
-let force_directed ~iterations ~beta dims nets =
-  let n = Array.length dims in
+(* Shelf packing: the blocks of [dims] left to right in [order], a new
+   row whenever the next block would pass a width target that squares
+   up the total area (never below the widest block).  Returns every
+   block's lower-left corner and the packed extent.  The force-directed
+   legalizer and the partition stitch both pack this way. *)
+let shelf_pack dims order =
   let total_area = Array.fold_left (fun a (w, h) -> a + (w * h)) 0 dims in
   let target_w =
     max
       (Array.fold_left (fun a (w, _) -> max a w) 1 dims)
       (int_of_float (sqrt (1.2 *. float_of_int total_area)))
   in
-  let shelf_pack order =
-    let pos = Array.make n (0, 0) in
-    let x = ref 0 and y = ref 0 and row_h = ref 0 in
-    let max_w = ref 0 and max_h = ref 0 in
-    Array.iter
-      (fun b ->
-        let w, h = dims.(b) in
-        if !x + w > target_w && !x > 0 then begin
-          x := 0;
-          y := !y + !row_h;
-          row_h := 0
-        end;
-        pos.(b) <- (!x, !y);
-        x := !x + w;
-        row_h := max !row_h h;
-        max_w := max !max_w !x;
-        max_h := max !max_h (!y + h))
-      order;
-    (pos, (!max_w, !max_h))
-  in
+  let pos = Array.make (Array.length dims) (0, 0) in
+  let x = ref 0 and y = ref 0 and row_h = ref 0 in
+  let max_w = ref 0 and max_h = ref 0 in
+  Array.iter
+    (fun b ->
+      let w, h = dims.(b) in
+      if !x + w > target_w && !x > 0 then begin
+        x := 0;
+        y := !y + !row_h;
+        row_h := 0
+      end;
+      pos.(b) <- (!x, !y);
+      x := !x + w;
+      row_h := max !row_h h;
+      max_w := max !max_w !x;
+      max_h := max !max_h (!y + h))
+    order;
+  (pos, (!max_w, !max_h))
+
+(* Force-directed placement: repeatedly (1) compute each block's desired
+   position as the centroid of its net mates, (2) order blocks by the
+   desired position, (3) legalize by shelf packing in that order.  The
+   best iteration by the same cost function wins. *)
+let force_directed ~iterations ~beta dims nets =
+  let n = Array.length dims in
   let cost pos (w, h) =
     float_of_int (w * h) +. (beta *. float_of_int (hpwl nets pos))
   in
   let order = Array.init n (fun i -> i) in
-  let best = ref (shelf_pack order) in
+  let best = ref (shelf_pack dims order) in
   let best_cost = ref (cost (fst !best) (snd !best)) in
   for _ = 1 to iterations do
     let pos = fst !best in
@@ -170,7 +175,7 @@ let force_directed ~iterations ~beta dims nets =
         let c = compare (ay, ax) (by, bx) in
         if c <> 0 then c else Int.compare a b)
       order;
-    let candidate = shelf_pack order in
+    let candidate = shelf_pack dims order in
     let c = cost (fst candidate) (snd candidate) in
     if c < !best_cost then begin
       best := candidate;
@@ -350,9 +355,9 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
    scale knee: partition the net hypergraph (deterministic BFS bisection
    + refinement, see {!Partition}), anneal each partition independently
    over the pool with partition-indexed seed offsets, then stitch the
-   packed partitions with the same deterministic shelf packing the
-   force-directed legalizer uses.  Per-partition annealing sees only the
-   nets projected onto the partition (two or more members inside);
+   packed partitions with [shelf_pack], as the force-directed legalizer
+   packs its blocks.  Per-partition annealing sees only the nets
+   projected onto the partition (two or more members inside);
    cross-partition wirelength is paid at the stitch, which orders
    partitions by decreasing area for a tight skyline. *)
 let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
@@ -413,38 +418,16 @@ let place_partitioned ~(config : config) ~depth ~dims ~nets ~rotatable ~cap =
       sub_problems
   in
   (* Stitch: shelf-pack the partition bounding boxes, largest area
-     first (ties by partition id), against a width target that squares
-     up the die. *)
-  let total_area =
-    Array.fold_left (fun a (_, _, _, _, (w, h)) -> a + (w * h)) 0 results
-  in
-  let target_w =
-    max
-      (Array.fold_left (fun a (_, _, _, _, (w, _)) -> max a w) 1 results)
-      (int_of_float (sqrt (1.2 *. float_of_int total_area)))
-  in
+     first (ties by partition id). *)
+  let extents = Array.map (fun (_, _, _, _, wh) -> wh) results in
   let order = Array.init k (fun i -> i) in
   Array.sort
     (fun a b ->
-      let _, _, _, _, (aw, ah) = results.(a)
-      and _, _, _, _, (bw, bh) = results.(b) in
+      let aw, ah = extents.(a) and bw, bh = extents.(b) in
       let c = Int.compare (bw * bh) (aw * ah) in
       if c <> 0 then c else Int.compare a b)
     order;
-  let offsets = Array.make k (0, 0) in
-  let x = ref 0 and y = ref 0 and row_h = ref 0 in
-  Array.iter
-    (fun pid ->
-      let _, _, _, _, (w, h) = results.(pid) in
-      if !x + w > target_w && !x > 0 then begin
-        x := 0;
-        y := !y + !row_h;
-        row_h := 0
-      end;
-      offsets.(pid) <- (!x, !y);
-      x := !x + w;
-      row_h := max !row_h h)
-    order;
+  let offsets, _ = shelf_pack extents order in
   let node_pos = Array.make n (0, 0) in
   let rotated = Array.make n false in
   Array.iteri

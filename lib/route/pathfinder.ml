@@ -31,7 +31,7 @@ let default_config =
     (* Reusing coarse corridors across negotiation iterations is pure
        optimization — every cache hit is provably identical to
        recomputing (see [route_net]) — so it defaults on; the off
-       switch exists for cross-checking and benchmark baselines. *)
+       switch exists for cross-checking. *)
     corridor_cache = true;
     (* Per-call, never ambient: a long-running server routes many
        requests with different settings, so the debug switch lives in

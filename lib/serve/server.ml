@@ -102,7 +102,7 @@ let circuit_of_input = function
   | Protocol.Named { name; scale } -> (
       match Tqec_circuit.Suite.find name with
       | Some entry ->
-          Ok (Tqec_circuit.Suite.scaled ~factor:(max 1 scale) entry)
+          Ok (Tqec_circuit.Suite.scaled ~factor:scale entry)
       | None -> (
           match Tqec_circuit.Generator.tier_of_name name with
           | Some c ->

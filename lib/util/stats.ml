@@ -27,7 +27,6 @@ let ratio a b = if b = 0. then nan else a /. b
 let percent_reduction before after =
   if before = 0. then nan else 100. *. (before -. after) /. before
 let clamp lo hi v = max lo (min hi v)
-let clamp_float lo hi v = Float.max lo (Float.min hi v)
 
 (* Peak resident set size from /proc/self/status (VmHWM), in kB.  Linux
    only; None where the proc file or the field is missing, truncated or

@@ -25,8 +25,6 @@ val percent_reduction : float -> float -> float
 (** [clamp lo hi v]. *)
 val clamp : int -> int -> int -> int
 
-val clamp_float : float -> float -> float -> float
-
 (** [peak_rss_kb ()] is the process's peak resident set size in kB, read
     from [/proc/self/status] ([VmHWM]); [None] where unavailable —
     non-Linux hosts, a missing or unreadable status file, a [VmHWM] line

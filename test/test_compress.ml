@@ -292,6 +292,30 @@ let test_summary_mentions_paper () =
   check Alcotest.bool "mentions paper ratios" true (contains "24.04");
   check Alcotest.bool "mentions reduction" true (contains "47.4")
 
+(* The fully nested workload stays deterministic: suite rows fan out as
+   tasks, and inside each row the annealing restarts and the routing
+   batches call [Pool.map] again, inline on the row's domain.  Every row
+   field but the two runtimes must agree between jobs 1 and 4. *)
+let test_run_all_jobs_invariant () =
+  let run jobs =
+    Experiments.run_all
+      {
+        Experiments.pipeline =
+          {
+            Knobs.defaults with
+            restarts = 2;
+            jobs = Some jobs;
+            early_stop_margin = Some 0.05;
+          };
+        scale = 16;
+        auto_scale = false;
+        benchmarks = [ "4gt10-v1_81"; "4gt4-v0_73" ];
+      }
+    |> List.map (fun (r : Report.row) ->
+           { r with Report.r_dual_only_runtime = 0.; r_ours_runtime = 0. })
+  in
+  check Alcotest.bool "rows agree at jobs 1 and 4" true (run 1 = run 4)
+
 let test_config_from_env_defaults () =
   match Experiments.config_from_env () with
   | Ok c ->
@@ -479,6 +503,8 @@ let suites =
         Alcotest.test_case "env config" `Quick test_config_from_env_defaults;
         Alcotest.test_case "env config rejects" `Quick
           test_config_from_env_rejects;
+        Alcotest.test_case "nested run_all jobs-invariant" `Quick
+          test_run_all_jobs_invariant;
       ] );
     ( "compress.knobs",
       [

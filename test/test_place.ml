@@ -659,25 +659,49 @@ let place_multistart ?(margin = Placer.default_config.Placer.early_stop_margin)
   Placer.place ~config g flipping dual fvalue
 
 (* The acceptance-critical determinism property: a multi-start placement
-   is a pure function of (seed, restarts) — TQEC_JOBS=1 and TQEC_JOBS=4
-   must give identical geometry. *)
+   is a pure function of (seed, restarts) — jobs=1 and jobs=4 must agree
+   on the geometry, the best cost and the moves attempted.  The tiny
+   circuit runs every lane to the end of its budget; 4gt10-v1_81@1/16
+   stops lanes early at the barriers, so a stop decision that hung on
+   the schedule would show there. *)
 let test_placer_jobs_invariant () =
-  let circuit = one_t_circuit () in
-  let serial = place_multistart ~restarts:4 ~jobs:(Some 1) 11 circuit in
-  let parallel = place_multistart ~restarts:4 ~jobs:(Some 4) 11 circuit in
-  check Alcotest.(list string) "parallel placement valid" []
-    (Placer.check parallel);
-  check
-    Alcotest.(list int)
-    "same (width, height, depth, volume, repacks)"
-    [ serial.Placer.width; serial.Placer.height; serial.Placer.depth;
-      serial.Placer.volume; serial.Placer.repacks ]
-    [ parallel.Placer.width; parallel.Placer.height; parallel.Placer.depth;
-      parallel.Placer.volume; parallel.Placer.repacks ];
-  check Alcotest.bool "same positions" true
-    (serial.Placer.node_pos = parallel.Placer.node_pos);
-  check Alcotest.bool "same rotations" true
-    (serial.Placer.rotated = parallel.Placer.rotated)
+  let agree label seed circuit =
+    let place jobs =
+      place_multistart ~margin:(Some 0.05) ~restarts:4 ~jobs:(Some jobs) seed
+        circuit
+    in
+    let serial = place 1 and parallel = place 4 in
+    check Alcotest.(list string) (label ^ ": parallel placement valid") []
+      (Placer.check parallel);
+    check
+      Alcotest.(list int)
+      (label ^ ": same (width, height, depth, volume, repacks, attempted)")
+      [ serial.Placer.width; serial.Placer.height; serial.Placer.depth;
+        serial.Placer.volume; serial.Placer.repacks;
+        serial.Placer.sa_stats.Sa.attempted ]
+      [ parallel.Placer.width; parallel.Placer.height; parallel.Placer.depth;
+        parallel.Placer.volume; parallel.Placer.repacks;
+        parallel.Placer.sa_stats.Sa.attempted ];
+    check (Alcotest.float 0.) (label ^ ": same best cost")
+      serial.Placer.sa_stats.Sa.best_cost
+      parallel.Placer.sa_stats.Sa.best_cost;
+    check Alcotest.bool (label ^ ": same positions") true
+      (serial.Placer.node_pos = parallel.Placer.node_pos);
+    check Alcotest.bool (label ^ ": same rotations") true
+      (serial.Placer.rotated = parallel.Placer.rotated);
+    serial
+  in
+  ignore (agree "one-t" 11 (one_t_circuit ()));
+  let circuit =
+    match Suite.find "4gt10-v1_81" with
+    | Some e -> Suite.scaled ~factor:16 e
+    | None -> Alcotest.fail "no suite benchmark 4gt10-v1_81"
+  in
+  let multi = agree "4gt10-v1_81@1/16" 42 circuit in
+  let lane = place_multistart ~restarts:1 ~jobs:(Some 1) 42 circuit in
+  check Alcotest.bool "4gt10-v1_81@1/16: a lane stopped early" true
+    (multi.Placer.sa_stats.Sa.attempted
+    < 4 * lane.Placer.sa_stats.Sa.attempted)
 
 (* Lane 0 of a multi-start run is the single-start trajectory, so the
    best-of-K cost can never exceed the K=1 cost.  Early stopping is
@@ -935,10 +959,11 @@ let dual_only_inputs ?(factor = 1) name =
   (g, flipping, dual, Fvalue.plan flipping)
 
 (* Seed 42 and normal effort, as the pipeline's defaults. *)
-let place_dual_only ?(restarts = 1) ?partition ~cap (g, flipping, dual, fvalue) =
+let place_dual_only ?(strategy = Placer.Annealing) ?(restarts = 1) ?partition
+    ~cap (g, flipping, dual, fvalue) =
   let config =
-    { Placer.default_config with effort = Placer.Normal; seed = 42; restarts;
-      jobs = Some 1; partition; sa_moves_cap = Some cap }
+    { Placer.default_config with effort = Placer.Normal; seed = 42; strategy;
+      restarts; jobs = Some 1; partition; sa_moves_cap = Some cap }
   in
   Placer.place ~config g flipping dual fvalue
 
@@ -954,7 +979,9 @@ let placement_digest (p : Placer.t) =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Digests recorded before the move kernels became allocation-free: a
-   pass proves every RNG draw and every packed position is unchanged. *)
+   pass proves every RNG draw and every packed position is unchanged.
+   The partition and force-directed digests also pin the shelf packer
+   that the stitch and the force-directed legalizer share. *)
 let test_golden_placements () =
   let inputs = dual_only_inputs "4gt10-v1_81" in
   let single = place_dual_only ~cap:12_000 inputs in
@@ -969,7 +996,12 @@ let test_golden_placements () =
     "731ce072670575453d6b5d6108eead1e" (placement_digest multi);
   let parts = place_dual_only ~partition:24 ~cap:2_000 inputs in
   check Alcotest.string "partition = Some 24"
-    "6c410d9be37c79b2343fdaf99829ebe5" (placement_digest parts)
+    "6c410d9be37c79b2343fdaf99829ebe5" (placement_digest parts);
+  let forced =
+    place_dual_only ~strategy:Placer.Force_directed ~cap:12_000 inputs
+  in
+  check Alcotest.string "force-directed"
+    "3a5aba29a3b382fbee51a8f1b0a7d822" (placement_digest forced)
 
 (* [Sa.create]'s probe phase counts against the budget: a moves cap is a
    hard ceiling even below the probe's usual ten moves. *)
