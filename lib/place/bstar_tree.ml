@@ -20,11 +20,14 @@ type t = {
   free : int array;
   free_pos : int array; (* slot -> index in [free], -1 if absent *)
   mutable free_len : int;
-  (* dense contour: the highest placed top over each x column, sized
-     for every block side by side on its longer side.  A pack zeroes
-     only the [contour_w] columns the previous pack wrote. *)
-  contour : int array;
-  mutable contour_w : int;
+  (* run-length contour: the highest placed top over the x columns
+     [0, span), span the sum of every block's longer side, as runs of
+     columns of one height (adjacent runs may share it).  Where a run
+     starts at x, [top.(x)] is its height and [run_end.(x)] the column
+     after it; at any other x both hold stale values.  A pack resets it
+     to one run of height 0. *)
+  top : int array;
+  run_end : int array;
   (* DFS slot stack *)
   st_slot : int array;
   st_x : int array;
@@ -95,16 +98,20 @@ let free_remove t slot =
 
 let in_tree t slot = slot = t.root || t.parent.(slot) <> -1
 
-(* rebuild the set from the links, ascending slot order *)
+(* Rebuild the set from the links in one pass, ascending slot order.
+   Both callers, [create] and [unmove], run it with every slot in the
+   tree, so a slot's arity alone decides. *)
 let rebuild_free t =
-  t.free_len <- 0;
+  let len = ref 0 in
   for slot = 0 to t.n - 1 do
-    t.free_pos.(slot) <- -1
+    if t.left.(slot) = -1 || t.right.(slot) = -1 then begin
+      t.free.(!len) <- slot;
+      t.free_pos.(slot) <- !len;
+      incr len
+    end
+    else t.free_pos.(slot) <- -1
   done;
-  for slot = 0 to t.n - 1 do
-    if in_tree t slot && (t.left.(slot) = -1 || t.right.(slot) = -1) then
-      free_add t slot
-  done
+  t.free_len <- !len
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                        *)
@@ -127,8 +134,8 @@ let alloc dims =
     free = Array.make n 0;
     free_pos = Array.make n (-1);
     free_len = 0;
-    contour = Array.make span 0;
-    contour_w = 0;
+    top = Array.make span 0;
+    run_end = Array.make span 0;
     st_slot = Array.make (n + 1) 0;
     st_x = Array.make (n + 1) 0;
     mv_id = Array.make n 0;
@@ -355,18 +362,22 @@ let pack_kept t xs ys =
       ys.(b) <- ay
   | Nop | Rotate | Swap | Relink -> t.mv_len <- 0
 
-(* The one pack loop: a full repack in DFS (preorder) order.  A block's
-   y is the highest contour column under its x-range, and its top then
-   fills that range.  A column so holds the highest top of the placed
-   blocks covering it, and y is the highest top among the placed blocks
-   whose x-range the block overlaps — [pack_reference]'s rule.  Every
-   block whose coordinates in [xs]/[ys] change is logged with the ones
-   it overwrote. *)
+(* The one pack loop: a full repack in DFS (preorder) order on the run
+   contour.  Every block starts on a run boundary: the root at 0, a
+   left child at its parent's x1, which the parent's step has just made
+   a run start, and a right child at its parent's x0, a run start that
+   the parent's left subtree, lying at x >= the parent's x1, cannot
+   reach.  A block's y is the highest run it covers, and its top then
+   becomes one run over its x-range; a last covered run that reaches
+   past x1 is split there.  A column so holds the highest top of the
+   placed blocks covering it, and y is the highest top among the placed
+   blocks whose x-range the block overlaps — [pack_reference]'s rule.
+   Every block whose coordinates in [xs]/[ys] change is logged with the
+   ones it overwrote. *)
 let repack t xs ys =
-  let contour = t.contour in
-  for x = 0 to t.contour_w - 1 do
-    contour.(x) <- 0
-  done;
+  let top = t.top and run_end = t.run_end in
+  top.(0) <- 0;
+  run_end.(0) <- Array.length run_end;
   let max_w = ref 0 and max_h = ref 0 and moved = ref 0 in
   let st_slot = t.st_slot and st_x = t.st_x in
   st_slot.(0) <- t.root;
@@ -377,16 +388,25 @@ let repack t xs ys =
     let slot = st_slot.(!sp) and x0 = st_x.(!sp) in
     let b = t.block_at.(slot) in
     let x1 = x0 + width t b in
-    let y = ref 0 in
-    for x = x0 to x1 - 1 do
-      let c = contour.(x) in
-      if c > !y then y := c
+    let y = ref 0 and last = ref 0 and x = ref x0 in
+    while !x < x1 do
+      let e = run_end.(!x) in
+      (* partial: run ends only grow from a run start; a contour that
+         breaks that fails the pack instead of looping forever *)
+      if e <= !x then
+        failwith "Bstar_tree.repack: a contour run does not advance";
+      last := top.(!x);
+      if !last > !y then y := !last;
+      x := e
     done;
+    if !x > x1 then begin
+      top.(x1) <- !last;
+      run_end.(x1) <- !x
+    end;
     let y = !y in
-    let top = y + height t b in
-    for x = x0 to x1 - 1 do
-      contour.(x) <- top
-    done;
+    let top_b = y + height t b in
+    top.(x0) <- top_b;
+    run_end.(x0) <- x1;
     if xs.(b) <> x0 || ys.(b) <> y then begin
       t.mv_id.(!moved) <- b;
       t.mv_x.(!moved) <- xs.(b);
@@ -396,7 +416,7 @@ let repack t xs ys =
       ys.(b) <- y
     end;
     if x1 > !max_w then max_w := x1;
-    if top > !max_h then max_h := top;
+    if top_b > !max_h then max_h := top_b;
     if t.right.(slot) <> -1 then begin
       st_slot.(!sp) <- t.right.(slot);
       st_x.(!sp) <- x0;
@@ -408,7 +428,6 @@ let repack t xs ys =
       incr sp
     end
   done;
-  t.contour_w <- !max_w;
   t.mv_len <- !moved;
   t.ext_w <- !max_w;
   t.ext_h <- !max_h;

@@ -7,10 +7,15 @@
     contour.  Every tree reachable by the perturbation moves packs to a
     left/bottom-compacted placement.
 
-    A full repack runs on a dense contour: one preallocated int array
-    of the highest placed top by x column.  A DFS step reads the
-    maximum over the block's x-range (its y) and fills that range with
-    its top.  The repack writes positions into the caller's buffers in
+    A full repack runs on a run-length contour: two preallocated int
+    arrays hold the highest placed top over x as runs of one height,
+    reset to one run of height 0 in O(1) per pack.  In preorder every
+    block starts where a run starts, so a DFS step walks the runs
+    under its x-range (its y is their highest top), writes one run at
+    its top over that range, and splits the last run it covered where
+    that run reaches past the block: O(runs covered), not O(width).
+    A run end that fails to advance raises [Failure] instead of
+    looping.  The repack writes positions into the caller's buffers in
     place and logs each block it moved, with the coordinates it
     overwrote, so the annealer re-evaluates and, on rejection, restores
     only those blocks.  The annealer's pack ({!pack_xy}) skips the

@@ -206,52 +206,6 @@ let assert_pack_matches_reference t xs ys =
   done;
   !ok
 
-(* Over >= 1000 random move / pack / undo / pack steps, the repack stays
-   bit-identical to a from-scratch brute-force pack, also when a move is
-   undone and the tree repacked over the rejected move's positions.
-   Dims are drawn from a small set so block x-ranges often start or end
-   exactly where another block's does. *)
-let prop_repack_matches_reference =
-  QCheck.Test.make
-    ~name:"full repack = reference over 1000 move/undo steps"
-    ~count:4
-    QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let dims =
-        Array.init n (fun i -> (1 + ((i * 7) mod 5), 1 + ((i * 3) mod 4)))
-      in
-      let t = Bstar_tree.create dims in
-      let xs = Array.make n 0 and ys = Array.make n 0 in
-      let ok = ref (assert_pack_matches_reference t xs ys) in
-      let rotatable = Array.init n Fun.id in
-      for _ = 1 to 500 do
-        Bstar_tree.perturb t ~rng ~rotatable;
-        if not (assert_pack_matches_reference t xs ys) then ok := false;
-        if Rng.bool rng then begin
-          (* reject, and repack without reverting the positions *)
-          Bstar_tree.undo t;
-          if not (assert_pack_matches_reference t xs ys) then ok := false
-        end;
-        if Bstar_tree.check t <> [] then ok := false
-      done;
-      !ok)
-
-(* Uniform footprints: the initial tree packs a grid, and after any move
-   every block's x-range starts and ends exactly where others do. *)
-let test_pack_uniform_footprints () =
-  let dims = Array.make 9 (2, 2) in
-  let t = Bstar_tree.create dims in
-  let xs = Array.make 9 0 and ys = Array.make 9 0 in
-  check Alcotest.bool "uniform grid matches reference" true
-    (assert_pack_matches_reference t xs ys);
-  let rng = Rng.create 77 in
-  for _ = 1 to 50 do
-    Bstar_tree.move_block t ~rng (Rng.int rng 9);
-    check Alcotest.bool "still matches after move" true
-      (assert_pack_matches_reference t xs ys)
-  done
-
 (* The two footprint mixes the move-path properties run on, each as
    (dims, rotatable block ids).  [small_mix]: every block rotatable,
    sides from a small set, so block x-ranges often start or end exactly
@@ -278,6 +232,56 @@ let suite_mix n =
     List.filter (fun i -> fst dims.(i) <= 5) (List.init n Fun.id)
   in
   (dims, Array.of_list rotatable)
+
+(* Over >= 1000 random move / pack / undo / pack steps on each
+   footprint mix, the repack stays bit-identical to a from-scratch
+   brute-force pack, also when a move is undone and the tree repacked
+   over the rejected move's positions.  On [small_mix] block x-ranges
+   often start or end exactly where another block's does; [suite_mix]'s
+   blocks up to 141 wide make a repack step walk many contour runs and
+   split the last one it covers. *)
+let prop_repack_matches_reference =
+  QCheck.Test.make
+    ~name:"full repack = reference over 1000 move/undo steps"
+    ~count:4
+    QCheck.(pair (int_range 2 24) (int_range 1 1_000_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let ok = ref true in
+      let run (dims, rotatable) =
+        let n = Array.length dims in
+        let t = Bstar_tree.create dims in
+        let xs = Array.make n 0 and ys = Array.make n 0 in
+        if not (assert_pack_matches_reference t xs ys) then ok := false;
+        for _ = 1 to 500 do
+          Bstar_tree.perturb t ~rng ~rotatable;
+          if not (assert_pack_matches_reference t xs ys) then ok := false;
+          if Rng.bool rng then begin
+            (* reject, and repack without reverting the positions *)
+            Bstar_tree.undo t;
+            if not (assert_pack_matches_reference t xs ys) then ok := false
+          end;
+          if Bstar_tree.check t <> [] then ok := false
+        done
+      in
+      run (small_mix n);
+      run (suite_mix (n + 8));
+      !ok)
+
+(* Uniform footprints: the initial tree packs a grid, and after any move
+   every block's x-range starts and ends exactly where others do. *)
+let test_pack_uniform_footprints () =
+  let dims = Array.make 9 (2, 2) in
+  let t = Bstar_tree.create dims in
+  let xs = Array.make 9 0 and ys = Array.make 9 0 in
+  check Alcotest.bool "uniform grid matches reference" true
+    (assert_pack_matches_reference t xs ys);
+  let rng = Rng.create 77 in
+  for _ = 1 to 50 do
+    Bstar_tree.move_block t ~rng (Rng.int rng 9);
+    check Alcotest.bool "still matches after move" true
+      (assert_pack_matches_reference t xs ys)
+  done
 
 (* The last pack's moved-block log lists exactly the blocks whose (x, y)
    differs from a snapshot taken before it, each once. *)
