@@ -1,11 +1,11 @@
-(* Micro-benchmark for the annealer's move path: perturb, the annealer's
-   pack in place (a full repack, or its skip after a move that kept
-   every footprint), and on a rejection the tree undo plus the positions
-   put back from the pack's moved-block log, over a tree of [n] blocks,
-   every block rotatable.  The checksum sums the packed extents of every
-   move, so it pins the whole draw sequence; the repack count is the
-   moves whose pack ran the full repack.  Given an expected checksum or
-   count, a mismatch exits 1.
+(* Micro-benchmark for the annealer's move path: perturb, pack (a full
+   repack, or its skip after a move that kept every footprint), and on a
+   rejection undo, which also puts the positions back from the pack's
+   moved-block log, over a tree of [n] blocks, every block rotatable.
+   The checksum sums the packed extents of every move, so it pins the
+   whole draw sequence; the repack count is the moves whose pack ran the
+   full repack.  Given an expected checksum or count, a mismatch exits
+   1.
 
    dune exec bench/pack_bench.exe -- [n] [moves] [expected-checksum]
      [expected-repacks] *)
@@ -30,19 +30,16 @@ let () =
   let t = Bstar_tree.create dims in
   let rng = Rng.create 42 in
   let rotatable = Array.init n Fun.id in
-  let xs = Array.make n 0 and ys = Array.make n 0 in
-  ignore (Bstar_tree.pack_xy t xs ys);
+  Bstar_tree.pack t;
   let initial = Bstar_tree.repacks t in
   let t0 = Monotonic_clock.now () in
   let acc = ref 0 in
   for _ = 1 to moves do
     Bstar_tree.perturb t ~rng ~rotatable;
-    let w, h = Bstar_tree.pack_xy t xs ys in
+    Bstar_tree.pack t;
+    let w, h = Bstar_tree.extents t in
     acc := !acc + w + h;
-    if Rng.bool rng then begin
-      Bstar_tree.undo t;
-      Bstar_tree.unpack t xs ys
-    end
+    if Rng.bool rng then Bstar_tree.undo t
   done;
   let repacks = Bstar_tree.repacks t - initial in
   Printf.printf "%d blocks, %d moves: %.3fs (checksum %d, repacks %d)\n" n

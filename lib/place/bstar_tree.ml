@@ -1,8 +1,8 @@
 module Rng = Tqec_util.Rng
 
 (* Tree slots form the binary tree; each slot holds a block id.  Moves
-   permute block ids across slots, so [pack] can report positions per
-   block id and callers keep stable identities. *)
+   permute block ids across slots, so [pack] writes positions per block
+   id and callers keep stable identities. *)
 type t = {
   n : int;
   w : int array; (* current footprint by block id: [rotate] swaps them *)
@@ -31,22 +31,21 @@ type t = {
   (* DFS slot stack *)
   st_slot : int array;
   st_x : int array;
+  (* the packed position of each block id *)
+  xs : int array;
+  ys : int array;
   (* moved-block log of the last pack: each block whose (x, y) it
      changed, with the coordinates it overwrote *)
   mv_id : int array;
   mv_x : int array;
   mv_y : int array;
   mutable mv_len : int;
-  (* the buffers the last pack wrote, what they hold relative to the
-     tree, the extents of that tree and of the one before the last
-     perturb, and the number of full repacks so far *)
-  mutable pk_xs : int array;
-  mutable pk_ys : int array;
+  (* what [xs]/[ys] hold relative to the tree, the extents of the last
+     pack and of the one before it (a pair built once per repack, so a
+     read allocates nothing), and the number of full repacks so far *)
   mutable sync : sync;
-  mutable ext_w : int;
-  mutable ext_h : int;
-  mutable prev_w : int;
-  mutable prev_h : int;
+  mutable ext : int * int;
+  mutable prev_ext : int * int;
   mutable repacks : int;
   (* single-level undo of the last [perturb]: the move kind, its block
      operands, and for [Relink] what [detach] wrote — the slots it
@@ -63,13 +62,12 @@ type t = {
 
 and move = Nop | Rotate | Swap | Relink
 
-(* What [pk_xs]/[pk_ys] hold.  [Synced]: the pack of the current tree.
+(* What [xs]/[ys] hold.  [Synced]: the pack of the current tree.
    [Moved]: the pack of the tree before the last [perturb], with no pack
    since.  [Packed]: [Synced], reached by packing out of [Moved], so the
-   log leads back to the pre-perturb pack.  [Undone]: [Packed] after
-   [undo]; [unpack] makes it [Synced] again.  [Stale]: unknown, so the
-   next pack is a full repack. *)
-and sync = Stale | Synced | Moved | Packed | Undone
+   log and [prev_ext] lead back to the pre-perturb pack, which [undo]
+   restores.  [Stale]: unknown, so the next pack is a full repack. *)
+and sync = Stale | Synced | Moved | Packed
 
 let size t = t.n
 let width t b = t.w.(b)
@@ -138,17 +136,15 @@ let alloc dims =
     run_end = Array.make span 0;
     st_slot = Array.make (n + 1) 0;
     st_x = Array.make (n + 1) 0;
+    xs = Array.make n 0;
+    ys = Array.make n 0;
     mv_id = Array.make n 0;
     mv_x = Array.make n 0;
     mv_y = Array.make n 0;
     mv_len = 0;
-    pk_xs = [||];
-    pk_ys = [||];
     sync = Stale;
-    ext_w = 0;
-    ext_h = 0;
-    prev_w = 0;
-    prev_h = 0;
+    ext = (0, 0);
+    prev_ext = (0, 0);
     repacks = 0;
     last = Nop;
     last_a = 0;
@@ -306,9 +302,7 @@ let perturb t ~rng ~rotatable =
         t.last <- Relink
       end);
   t.sync <-
-    (match t.sync with
-    | Synced | Packed -> Moved
-    | Stale | Moved | Undone -> Stale)
+    (match t.sync with Synced | Packed -> Moved | Stale | Moved -> Stale)
 
 let undo t =
   (match t.last with
@@ -316,12 +310,21 @@ let undo t =
   | Rotate -> turn t t.last_a
   | Swap -> exchange t t.last_a t.last_b
   | Relink -> unmove t);
-  t.sync <-
-    (match (t.sync, t.last) with
-    | Moved, _ -> Synced
-    | Packed, _ -> Undone
-    | ((Synced | Undone) as s), Nop -> s
-    | (Stale | Synced | Undone), _ -> Stale);
+  (match (t.sync, t.last) with
+  | Moved, _ -> t.sync <- Synced
+  | Packed, _ ->
+      (* the log of a pack out of [Moved], written back, and the extents
+         before it: the pre-perturb pack, the reverted tree's pack *)
+      for k = 0 to t.mv_len - 1 do
+        let b = t.mv_id.(k) in
+        t.xs.(b) <- t.mv_x.(k);
+        t.ys.(b) <- t.mv_y.(k)
+      done;
+      t.mv_len <- 0;
+      t.ext <- t.prev_ext;
+      t.sync <- Synced
+  | Synced, Nop -> ()
+  | (Stale | Synced), _ -> t.sync <- Stale);
   t.last <- Nop
 
 (* ------------------------------------------------------------------ *)
@@ -341,10 +344,11 @@ let keeps_footprints t =
       t.w.(a) = t.w.(b) && t.h.(a) = t.h.(b)
   | Relink -> false
 
-(* [pack_xy] for a move [keeps_footprints] accepts, on the buffers that
-   hold the pre-move pack: a swap's two blocks, logged a first, trade
+(* [pack] for a move [keeps_footprints] accepts, on positions that hold
+   the pre-move pack: a swap's two blocks, logged a first, trade
    coordinates. *)
-let pack_kept t xs ys =
+let pack_kept t =
+  let xs = t.xs and ys = t.ys in
   let a = t.last_a and b = t.last_b in
   match t.last with
   | Swap when a <> b ->
@@ -374,7 +378,8 @@ let pack_kept t xs ys =
    blocks whose x-range the block overlaps — [pack_reference]'s rule.
    Every block whose coordinates in [xs]/[ys] change is logged with the
    ones it overwrote. *)
-let repack t xs ys =
+let repack t =
+  let xs = t.xs and ys = t.ys in
   let top = t.top and run_end = t.run_end in
   top.(0) <- 0;
   run_end.(0) <- Array.length run_end;
@@ -429,72 +434,29 @@ let repack t xs ys =
     end
   done;
   t.mv_len <- !moved;
-  t.ext_w <- !max_w;
-  t.ext_h <- !max_h;
+  t.ext <- (!max_w, !max_h);
   t.repacks <- t.repacks + 1
 
-(* The annealer's entry: the DFS repack, skipped when the buffers are
-   the ones last packed, they hold the pack from before the last
-   [perturb], and that move kept every footprint. *)
-let pack_xy t xs ys =
+(* The DFS repack, skipped right after a [perturb] that kept every
+   footprint: [xs]/[ys] then hold the pack from before that move. *)
+let pack t =
   let after_perturb =
-    match t.sync with
-    | Moved -> xs == t.pk_xs && ys == t.pk_ys
-    | Stale | Synced | Packed | Undone -> false
+    match t.sync with Moved -> true | Stale | Synced | Packed -> false
   in
-  t.prev_w <- t.ext_w;
-  t.prev_h <- t.ext_h;
-  if after_perturb && keeps_footprints t then pack_kept t xs ys
-  else begin
-    repack t xs ys;
-    t.pk_xs <- xs;
-    t.pk_ys <- ys
-  end;
-  t.sync <- (if after_perturb then Packed else Synced);
-  (t.ext_w, t.ext_h)
+  t.prev_ext <- t.ext;
+  if after_perturb && keeps_footprints t then pack_kept t else repack t;
+  t.sync <- (if after_perturb then Packed else Synced)
 
+let xs t = t.xs
+let ys t = t.ys
+let extents t = t.ext
 let moved t = t.mv_id
 let n_moved t = t.mv_len
 let repacks t = t.repacks
 
-(* Written into the packed buffers, the log takes them back to the pack
-   before the last one: after [undo] that is the current tree's pack
-   again.  Elsewhere it only drops the log. *)
-let unpack t xs ys =
-  for k = 0 to t.mv_len - 1 do
-    let b = t.mv_id.(k) in
-    xs.(b) <- t.mv_x.(k);
-    ys.(b) <- t.mv_y.(k)
-  done;
-  t.mv_len <- 0;
-  let into_x = xs == t.pk_xs and into_y = ys == t.pk_ys in
-  t.sync <-
-    (match t.sync with
-    | Undone when into_x && into_y ->
-        t.ext_w <- t.prev_w;
-        t.ext_h <- t.prev_h;
-        Synced
-    | _ when into_x || into_y -> Stale
-    | Packed -> Synced
-    | Undone -> Stale
-    | (Stale | Synced | Moved) as s -> s)
-
-let pack_into t pos =
-  let xs = Array.make t.n 0 and ys = Array.make t.n 0 in
-  let wh = pack_xy t xs ys in
-  for b = 0 to t.n - 1 do
-    pos.(b) <- (xs.(b), ys.(b))
-  done;
-  wh
-
-let pack t =
-  let pos = Array.make t.n (0, 0) in
-  let wh = pack_into t pos in
-  (pos, wh)
-
 (* Brute-force O(n^2) reference packer: the same DFS, but each block's y
    is the max top of the already-placed blocks its x-interval overlaps.
-   No contour — the differential-test oracle for [pack_xy]. *)
+   No contour — the differential-test oracle for [pack]. *)
 let pack_reference t =
   let n = t.n in
   let pos = Array.make n (0, 0) in

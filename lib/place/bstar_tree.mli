@@ -15,11 +15,12 @@
     its top over that range, and splits the last run it covered where
     that run reaches past the block: O(runs covered), not O(width).
     A run end that fails to advance raises [Failure] instead of
-    looping.  The repack writes positions into the caller's buffers in
-    place and logs each block it moved, with the coordinates it
-    overwrote, so the annealer re-evaluates and, on rejection, restores
-    only those blocks.  The annealer's pack ({!pack_xy}) skips the
-    repack after a {!perturb} that kept every footprint in place.
+    looping.  The tree owns its pack: {!pack} writes the positions into
+    two arrays allocated by {!create} and logs each block it moved, with
+    the coordinates it overwrote, so the annealer re-evaluates only
+    those blocks, and {!undo} on a rejection restores them from the
+    same log.  A pack right after a {!perturb} that kept every
+    footprint in place skips the repack.
 
     Blocks carry a footprint (w, h); rotation swaps the two.  The 2.5D
     aspect of the flow (block z-extents) is handled by the placer on
@@ -72,40 +73,41 @@ val perturb : t -> rng:Tqec_util.Rng.t -> rotatable:int array -> unit
     a [move_block] is replayed backwards from a log of the block-id
     swaps and link writes it made.  A second [undo] is a no-op.  A
     reverted [move_block] rebuilds the free-arity set in ascending slot
-    order, so later [move_block] draws see that order.  Positions are
-    not touched: {!unpack} reverts the pack.  Allocates nothing. *)
+    order, so later [move_block] draws see that order.  When the
+    positions held the tree's pack at that [perturb] and at most one
+    pack has run since — the annealer's rejection — [undo] leaves them
+    holding the reverted tree's pack: after a pack it writes the
+    moved-block log back into them, empties the log and restores the
+    extents, so {!xs}, {!ys} and {!extents} read that pack without
+    packing again.  Otherwise it leaves the positions as they are, out
+    of step with the tree until the next pack.  Allocates nothing. *)
 val undo : t -> unit
 
-(** [pack t] computes the placement: per-block lower-left (x, y) and the
-    bounding (width, height).  It and {!pack_into} pack into fresh
-    buffers, so they always run the full repack. *)
-val pack : t -> (int * int) array * (int * int)
+(** [pack t] packs the current tree into the positions that {!xs} and
+    {!ys} read and the bounding (width, height) that {!extents} reads.
+    It logs every block whose (x, y) it changed, once each, with the
+    coordinates it overwrote; every pack replaces the log.  It runs the
+    full DFS repack, except right after a {!perturb} made while the
+    positions held the tree's pack (after a pack, or an {!undo} that
+    kept them so) that kept every slot's footprint: it turned a square
+    block, or swapped two blocks of equal current (width, height), one
+    block with itself included.  Then a turned square moves nothing, a
+    swap trades its two blocks' coordinates, and the extents are
+    unchanged. *)
+val pack : t -> unit
 
-(** [pack_into t pos] is [pack] writing the positions into the caller's
-    buffer (length [size t]) and returning the bounding (width, height). *)
-val pack_into : t -> (int * int) array -> int * int
+(** [xs t] and [ys t] hold block [b]'s lower-left corner at index [b],
+    as the last {!pack} or {!undo} left it.  The arrays belong to [t]
+    and change in place: read them before the next pack or [undo], and
+    never write them — the skip in [pack] and the write-back in [undo]
+    trust what they hold, so a write gives wrong placements later.
+    Copy them to keep or edit a placement. *)
+val xs : t -> int array
 
-(** [pack_xy t xs ys] is [pack] writing x and y coordinates into the
-    caller's unboxed int buffers (length [size t]) in place and
-    returning the bounding (width, height) — the annealer's pack.  It
-    logs every block whose (x, y) in the buffers it changed, once each,
-    with the coordinates it overwrote; every pack replaces the log.
-    Allocates nothing.
+val ys : t -> int array
 
-    It skips the DFS repack when the last {!perturb} kept every slot's
-    footprint — it turned a square block, or swapped two blocks of
-    equal current (width, height), one block with itself included —
-    and two things hold: [xs]/[ys] are (physically) the buffers the
-    tree last packed, and since that pack nothing but that [perturb],
-    or an {!undo} followed by an {!unpack} into these buffers, has
-    touched the tree.  A turned square then moves nothing and a swap
-    trades its two blocks' coordinates; the extents are unchanged.
-    Anything else — two [perturb]s with no pack between them, a direct
-    {!rotate}, {!swap_blocks} or {!move_block}, an [undo] without an
-    [unpack], a pack into other buffers — makes the next pack a full
-    repack.  The skip reads the buffers as the last pack or [unpack]
-    left them: write them in between and the result is unspecified. *)
-val pack_xy : t -> int array -> int array -> int * int
+(** [extents t] is the bounding (width, height) of the positions. *)
+val extents : t -> int * int
 
 (** [moved t] holds the ids of the blocks the last pack moved in its
     first [n_moved t] entries: the [~changed] buffer of
@@ -118,18 +120,11 @@ val moved : t -> int array
 val n_moved : t -> int
 
 (** [repacks t] is how many packs of [t] so far ran the full DFS repack
-    rather than the skip of {!pack_xy}, {!pack} and {!pack_into}
-    included. *)
+    rather than its skip. *)
 val repacks : t -> int
 
-(** [unpack t xs ys] writes the coordinates the last {!pack_xy}
-    overwrote back into [xs]/[ys] and empties the log — the annealer's
-    rejection path, after {!undo}.  A second [unpack] is a no-op.
-    Allocates nothing. *)
-val unpack : t -> int array -> int array -> unit
-
 (** [pack_reference t] packs with a brute-force O(n^2) per-block overlap
-    scan instead of a contour.  The differential oracle for [pack_xy] in
+    scan instead of a contour.  The differential oracle for {!pack} in
     tests. *)
 val pack_reference : t -> (int * int) array * (int * int)
 

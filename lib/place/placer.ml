@@ -211,48 +211,44 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
       initial_acceptance = 0.85;
     }
   in
-  (* One independent annealing trajectory.  A move repacks the whole
-     tree into one pair of coordinate buffers in place, or skips the
-     repack when it kept every footprint; the pack logs the blocks it
-     moved, so the wirelength term re-evaluates only the nets incident
-     to them and a rejected move puts their old coordinates back from
-     the same log.  The best-so-far snapshot copies into preallocated
-     buffers, and the undo closure is built once per trajectory rather
-     than once per move. *)
+  (* One independent annealing trajectory.  A move is perturb, pack,
+     and on a rejection undo: the tree packs in place into the positions
+     it owns, or skips the repack when the move kept every footprint,
+     and logs the blocks it moved, so the wirelength term re-evaluates
+     only the nets incident to them, and [Bstar_tree.undo] puts their
+     old coordinates and the old extents back from the same log.  The
+     best-so-far snapshot copies into preallocated buffers, and the undo
+     closure is built once per trajectory rather than once per move. *)
   let anneal_start rng =
     let tree = Bstar_tree.create dims in
-    let xs = Array.make n 0 and ys = Array.make n 0 in
-    let cur_wh = ref (Bstar_tree.pack_xy tree xs ys) in
+    Bstar_tree.pack tree;
+    let xs = Bstar_tree.xs tree and ys = Bstar_tree.ys tree in
     let initial_repacks = Bstar_tree.repacks tree in
     let cache = Hpwl_cache.create ~n_nodes:n nets in
     ignore (Hpwl_cache.rebuild cache ~xs ~ys);
     let cost () =
-      let w, h = !cur_wh in
+      let w, h = Bstar_tree.extents tree in
       (config.alpha *. float_of_int (w * h * depth))
       +. (config.beta *. float_of_int (Hpwl_cache.total cache))
     in
     let best_xs = Array.copy xs and best_ys = Array.copy ys in
     let best_rot = Array.make n false in
-    let best_wh = ref !cur_wh in
+    let best_wh = ref (Bstar_tree.extents tree) in
     let on_best _ =
       for i = 0 to n - 1 do
         best_xs.(i) <- xs.(i);
         best_ys.(i) <- ys.(i);
         best_rot.(i) <- Bstar_tree.is_rotated tree i
       done;
-      best_wh := !cur_wh
+      best_wh := Bstar_tree.extents tree
     in
-    let prev_wh = ref !cur_wh in
     let undo () =
       Bstar_tree.undo tree;
-      Bstar_tree.unpack tree xs ys;
-      Hpwl_cache.restore cache;
-      cur_wh := !prev_wh
+      Hpwl_cache.restore cache
     in
     let perturb () =
       Bstar_tree.perturb tree ~rng ~rotatable:rotatable_ids;
-      prev_wh := !cur_wh;
-      cur_wh := Bstar_tree.pack_xy tree xs ys;
+      Bstar_tree.pack tree;
       Hpwl_cache.update cache ~xs ~ys ~changed:(Bstar_tree.moved tree)
         ~n_changed:(Bstar_tree.n_moved tree);
       undo
@@ -270,11 +266,11 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
      streams derived from the seed before the fan-out — always lane id,
      never worker id, so it doesn't matter which domain advances a lane
      (inside a suite-instance task the lanes run inline, one after
-     another, on that task's domain).  Lanes advance in
-     fixed-size chunks, one [Pool.map] per epoch; at each chunk end a
-     lane publishes its best into a shared [Atomic] (CAS-min).  Early
-     stopping is decided only at the epoch barriers, from the barrier
-     value of the Atomic — the min over all lanes' bests through their
+     another, on that task's domain).  Lanes advance in fixed-size
+     chunks, one [Pool.map] per epoch; each task returns its lane's
+     best, and after the map's join the caller folds them into the
+     global best.  Early stopping is decided only at the epoch barriers,
+     from that global best — the min over all lanes' bests through their
      completed epochs, which is independent of worker scheduling — so
      the result is a pure function of (seed, restarts) for any worker
      count.  Lane 0 is the historical single-start trajectory and is
@@ -285,12 +281,8 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
   let restarts = max 1 config.restarts in
   let lanes = Array.init restarts (Rng.lane seed) in
   let trajs = Pool.map ?jobs:config.jobs anneal_start lanes in
-  let global_best = Atomic.make infinity in
-  let rec publish v =
-    let cur = Atomic.get global_best in
-    if v < cur && not (Atomic.compare_and_set global_best cur v) then
-      publish v
-  in
+  let global_best = ref infinity in
+  let publish v = if v < !global_best then global_best := v in
   Array.iter (fun (st, _) -> publish (Sa.best_cost st)) trajs;
   let stopped = Array.make restarts false in
   let chunk = max 1_000 (iterations / 16) in
@@ -304,19 +296,19 @@ let anneal_group ~(config : config) ~depth ~dims ~nets ~rotatable ~seed =
     match !active with
     | [] -> running := false
     | active ->
-        ignore
+        Array.iter publish
           (Pool.map ?jobs:config.jobs
              (fun i ->
                let st, _ = trajs.(i) in
                Sa.step st chunk;
-               publish (Sa.best_cost st))
+               Sa.best_cost st)
              (Array.of_list active));
         (* barrier: deterministic stop decisions.  A low-temperature
            lane (at least half its moves spent) whose best trails the
            shared best by more than the margin gives up. *)
         (match config.early_stop_margin with
         | Some margin when margin >= 0. ->
-            let g = Atomic.get global_best in
+            let g = !global_best in
             Array.iteri
               (fun i (st, _) ->
                 if

@@ -32,8 +32,8 @@ type config = {
           domain count (see {!Tqec_util.Pool}).  The result never
           depends on this value *)
   early_stop_margin : float option;
-      (** adaptive multi-start: lanes publish their best cost into a
-          shared [Atomic] at fixed chunk barriers, and a lane that has
+      (** adaptive multi-start: at fixed chunk barriers the lanes'
+          best costs are folded into a shared best, and a lane that has
           spent at least half its move budget while trailing the shared
           best by more than this relative margin stops early.  Lane 0 is
           exempt (the single-start trajectory always completes), stop
@@ -92,7 +92,7 @@ type t = {
   sa_stats : Sa.stats;
   repacks : int;
       (** annealing moves whose pack ran the full B*-tree repack rather
-          than its skip ({!Bstar_tree.pack_xy}), summed over lanes and
+          than its skip ({!Bstar_tree.pack}), summed over lanes and
           partitions like [sa_stats.attempted]; 0 for [Force_directed].
           Deterministic and jobs-invariant, like the placement *)
 }

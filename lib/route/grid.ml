@@ -226,7 +226,7 @@ let probe g ~penalty ~dusage ~avoid_used ~exempt x y z =
   let ox = x - lo.Vec3.x and oy = y - lo.Vec3.y and oz = z - lo.Vec3.z in
   if ox < 0 || oy < 0 || oz < 0 || ox >= g.nx || oy >= g.ny || oz >= g.nz then
     invalid_arg
-      (Printf.sprintf "Grid.enter_cost: out of bounds %s"
+      (Printf.sprintf "Grid.probe: out of bounds %s"
          (Vec3.to_string (Vec3.make x y z)));
   let d = g.die in
   let base =
@@ -262,6 +262,7 @@ let probe g ~penalty ~dusage ~avoid_used ~exempt x y z =
         base + t.t_hist.(ci) + (if over > 0 then penalty * over else 0)
 
 let enter_cost g ~penalty (p : Vec3.t) =
+  guard g p "enter_cost";
   probe g ~penalty ~dusage:0 ~avoid_used:false ~exempt:true p.x p.y p.z
 
 let overused g =

@@ -64,7 +64,8 @@ val add_history : t -> Tqec_util.Vec3.t -> int -> unit
     (obstacles are handled by the router, not here).  With [penalty >=
     0] it is at least 1, since usage and history are never negative:
     the floor that keeps the A* heuristic admissible and its queue
-    monotone. *)
+    monotone.
+    @raise Invalid_argument when [p] is out of bounds. *)
 val enter_cost : t -> penalty:int -> Tqec_util.Vec3.t -> int
 
 (** [probe g ~penalty ~dusage ~avoid_used ~exempt x y z] answers both

@@ -99,6 +99,17 @@ let test_sa_stepper_matches_run () =
 
 let dims_of_list l = Array.of_list l
 
+(* The placement that [t]'s positions and extents hold, the positions
+   copied as (x, y) pairs: [pack_reference]'s shape. *)
+let placement t =
+  let xs = Bstar_tree.xs t and ys = Bstar_tree.ys t in
+  (Array.init (Bstar_tree.size t) (fun b -> (xs.(b), ys.(b))),
+   Bstar_tree.extents t)
+
+let packed t =
+  Bstar_tree.pack t;
+  placement t
+
 let test_bstar_pack_no_overlap () =
   let dims = dims_of_list [ (3, 2); (2, 2); (4, 1); (1, 5); (2, 3) ] in
   Alcotest.check_raises "a zero side is rejected"
@@ -106,7 +117,7 @@ let test_bstar_pack_no_overlap () =
       ignore (Bstar_tree.create [| (2, 2); (0, 3) |]));
   let t = Bstar_tree.create dims in
   check Alcotest.(list string) "tree consistent" [] (Bstar_tree.check t);
-  let pos, (w, h) = Bstar_tree.pack t in
+  let pos, (w, h) = packed t in
   check Alcotest.bool "no overlap" false (Bstar_tree.overlaps pos dims);
   check Alcotest.bool "fits bbox" true
     (Array.for_all2
@@ -131,12 +142,12 @@ let test_bstar_perturb_undo () =
   let rotatable = Array.init 8 Fun.id in
   for _ = 1 to 30 do
     Bstar_tree.perturb t ~rng ~rotatable;
-    let before = Bstar_tree.pack t in
+    let before = packed t in
     Bstar_tree.perturb t ~rng ~rotatable;
     Bstar_tree.undo t;
     Bstar_tree.undo t;
     check Alcotest.(list string) "consistent after undo" [] (Bstar_tree.check t);
-    check Alcotest.bool "same packing restored" true (before = Bstar_tree.pack t)
+    check Alcotest.bool "same packing restored" true (before = packed t)
   done
 
 let prop_bstar_moves_preserve_invariants =
@@ -158,7 +169,7 @@ let prop_bstar_moves_preserve_invariants =
       let current_dims =
         Array.init n (fun b -> (Bstar_tree.width t b, Bstar_tree.height t b))
       in
-      let pos, _ = Bstar_tree.pack t in
+      let pos, _ = packed t in
       Bstar_tree.check t = [] && not (Bstar_tree.overlaps pos current_dims))
 
 let prop_bstar_pack_compact_bottom_left =
@@ -167,18 +178,20 @@ let prop_bstar_pack_compact_bottom_left =
     (fun n ->
       let dims = Array.init n (fun i -> (1 + (i mod 3), 1 + (i mod 2))) in
       let t = Bstar_tree.create dims in
-      let pos, _ = Bstar_tree.pack t in
+      let pos, _ = packed t in
       (* block 0 is initially the root: packed at the origin *)
       pos.(0) = (0, 0))
 
-(* Differential check of one tree state: [pack_xy] must reproduce the
+(* Differential check of one tree state: [pack] must reproduce the
    brute-force reference packer bit for bit, the packing must be
    overlap-free, and every block must be bottom-supported (y = 0 or
    resting exactly on another block's top — the contour's compactness
    guarantee). *)
-let assert_pack_matches_reference t xs ys =
+let assert_pack_matches_reference t =
   let n = Bstar_tree.size t in
-  let w, h = Bstar_tree.pack_xy t xs ys in
+  Bstar_tree.pack t;
+  let w, h = Bstar_tree.extents t in
+  let xs = Bstar_tree.xs t and ys = Bstar_tree.ys t in
   let rpos, (rw, rh) = Bstar_tree.pack_reference t in
   let ok = ref ((w, h) = (rw, rh)) in
   for b = 0 to n - 1 do
@@ -234,12 +247,12 @@ let suite_mix n =
   (dims, Array.of_list rotatable)
 
 (* Over >= 1000 random move / pack / undo / pack steps on each
-   footprint mix, the repack stays bit-identical to a from-scratch
-   brute-force pack, also when a move is undone and the tree repacked
-   over the rejected move's positions.  On [small_mix] block x-ranges
-   often start or end exactly where another block's does; [suite_mix]'s
-   blocks up to 141 wide make a repack step walk many contour runs and
-   split the last one it covers. *)
+   footprint mix, the pack stays bit-identical to a from-scratch
+   brute-force pack, also when a move is undone and the tree packed
+   again.  On [small_mix] block x-ranges often start or end exactly
+   where another block's does; [suite_mix]'s blocks up to 141 wide make
+   a repack step walk many contour runs and split the last one it
+   covers. *)
 let prop_repack_matches_reference =
   QCheck.Test.make
     ~name:"full repack = reference over 1000 move/undo steps"
@@ -249,17 +262,15 @@ let prop_repack_matches_reference =
       let rng = Rng.create seed in
       let ok = ref true in
       let run (dims, rotatable) =
-        let n = Array.length dims in
         let t = Bstar_tree.create dims in
-        let xs = Array.make n 0 and ys = Array.make n 0 in
-        if not (assert_pack_matches_reference t xs ys) then ok := false;
+        if not (assert_pack_matches_reference t) then ok := false;
         for _ = 1 to 500 do
           Bstar_tree.perturb t ~rng ~rotatable;
-          if not (assert_pack_matches_reference t xs ys) then ok := false;
+          if not (assert_pack_matches_reference t) then ok := false;
           if Rng.bool rng then begin
-            (* reject, and repack without reverting the positions *)
+            (* reject, and pack the reverted tree again *)
             Bstar_tree.undo t;
-            if not (assert_pack_matches_reference t xs ys) then ok := false
+            if not (assert_pack_matches_reference t) then ok := false
           end;
           if Bstar_tree.check t <> [] then ok := false
         done
@@ -273,14 +284,13 @@ let prop_repack_matches_reference =
 let test_pack_uniform_footprints () =
   let dims = Array.make 9 (2, 2) in
   let t = Bstar_tree.create dims in
-  let xs = Array.make 9 0 and ys = Array.make 9 0 in
   check Alcotest.bool "uniform grid matches reference" true
-    (assert_pack_matches_reference t xs ys);
+    (assert_pack_matches_reference t);
   let rng = Rng.create 77 in
   for _ = 1 to 50 do
     Bstar_tree.move_block t ~rng (Rng.int rng 9);
     check Alcotest.bool "still matches after move" true
-      (assert_pack_matches_reference t xs ys)
+      (assert_pack_matches_reference t)
   done
 
 (* The last pack's moved-block log lists exactly the blocks whose (x, y)
@@ -299,11 +309,13 @@ let log_is_diff t ~snap_xs ~snap_ys xs ys =
 
 (* The moved-block log over 1000 random perturb / pack / undo steps on
    each footprint mix: after each pack the positions and extents equal
-   the reference; the log lists exactly the blocks whose (x, y) differs
-   from a snapshot taken before the pack, each once, with the
-   coordinates it had there, so [unpack] — after [undo] on a rejection,
-   into a copy on an acceptance — gives the snapshot back bit for bit.
-   On the suite-shaped mix at least 30% of the packs skip the repack. *)
+   the reference, and the log lists exactly the blocks whose (x, y)
+   differs from a snapshot taken before the pack, each once.  [undo] on
+   a rejection writes the log back: the positions equal the snapshot
+   again, the log is empty, the extents are the snapshot's, and the
+   placement equals the reverted tree's reference, read without packing
+   again.  On the suite-shaped mix at least 30% of the packs skip the
+   repack. *)
 let prop_moved_log_matches_diff =
   QCheck.Test.make
     ~name:"moved-block log = diff over 1000 perturb/repack/undo steps"
@@ -315,31 +327,22 @@ let prop_moved_log_matches_diff =
       let expect b = if not b then ok := false in
       (* the moves on one mix; returns how many skipped the repack *)
       let run (dims, rotatable) =
-        let n = Array.length dims in
         let t = Bstar_tree.create dims in
-        let xs = Array.make n 0 and ys = Array.make n 0 in
-        ignore (Bstar_tree.pack_xy t xs ys);
+        Bstar_tree.pack t;
+        let xs = Bstar_tree.xs t and ys = Bstar_tree.ys t in
         let before = Bstar_tree.repacks t in
         for _ = 1 to 1000 do
           let snap_xs = Array.copy xs and snap_ys = Array.copy ys in
+          let snap_wh = Bstar_tree.extents t in
           Bstar_tree.perturb t ~rng ~rotatable;
-          let wh = Bstar_tree.pack_xy t xs ys in
-          let rpos, rwh = Bstar_tree.pack_reference t in
-          expect (wh = rwh);
-          Array.iteri (fun b p -> expect ((xs.(b), ys.(b)) = p)) rpos;
+          expect (packed t = Bstar_tree.pack_reference t);
           expect (log_is_diff t ~snap_xs ~snap_ys xs ys);
           if Rng.bool rng then begin
             Bstar_tree.undo t;
-            Bstar_tree.unpack t xs ys;
             expect (xs = snap_xs && ys = snap_ys);
-            Array.iteri
-              (fun b p -> expect ((xs.(b), ys.(b)) = p))
-              (fst (Bstar_tree.pack_reference t))
-          end
-          else begin
-            let ux = Array.copy xs and uy = Array.copy ys in
-            Bstar_tree.unpack t ux uy;
-            expect (ux = snap_xs && uy = snap_ys)
+            expect (Bstar_tree.n_moved t = 0);
+            expect (Bstar_tree.extents t = snap_wh);
+            expect (placement t = Bstar_tree.pack_reference t)
           end;
           expect (Bstar_tree.check t = [])
         done;
@@ -349,16 +352,14 @@ let prop_moved_log_matches_diff =
       expect (10 * run (suite_mix (n + 8)) >= 3 * 1000);
       !ok)
 
-(* The skip's precondition under every other way of touching the tree
-   between packs, interleaved at random with the annealer's own
-   perturb / pack / undo / unpack cycle on the suite-shaped mix: direct
-   [rotate], [swap_blocks] and [move_block], a [perturb] with no pack
-   after it, [undo] without [unpack] or with an [unpack] into a copy
-   first, [unpack] into the packed buffers or into a copy, an annealer
-   pack with no [perturb] before it, and [pack] / [pack_into] into
-   fresh buffers.  Every pack equals the reference, and every annealer
-   pack logs exactly its before/after diff.  Some annealer packs must
-   still skip. *)
+(* The skip under every other way of touching the tree between packs,
+   interleaved at random with the annealer's own perturb / pack / undo
+   cycle on the suite-shaped mix: direct [rotate], [swap_blocks] and
+   [move_block], a [perturb] with no pack after it, an [undo] with no
+   pack before it, and a pack with no [perturb] before it.  Every pack,
+   and every [undo] of a packed move made on the tree's pack, leaves
+   the reference placement; every pack logs exactly its before/after
+   diff.  Some packs must still skip. *)
 let prop_pack_skip_interleaved =
   QCheck.Test.make ~name:"pack skip = reference under interleaved edits"
     ~count:8
@@ -368,49 +369,39 @@ let prop_pack_skip_interleaved =
       let dims, rotatable = suite_mix (n + 8) in
       let n = Array.length dims in
       let t = Bstar_tree.create dims in
-      let xs = Array.make n 0 and ys = Array.make n 0 in
+      let xs = Bstar_tree.xs t and ys = Bstar_tree.ys t in
       let ok = ref true in
       let expect b = if not b then ok := false in
       let packs = ref 0 in
+      (* whether the positions hold the current tree's pack *)
+      let synced = ref false in
       let pack () =
         let snap_xs = Array.copy xs and snap_ys = Array.copy ys in
-        let wh = Bstar_tree.pack_xy t xs ys in
+        expect (packed t = Bstar_tree.pack_reference t);
         incr packs;
-        let rpos, rwh = Bstar_tree.pack_reference t in
-        expect (wh = rwh);
-        Array.iteri (fun b p -> expect ((xs.(b), ys.(b)) = p)) rpos;
-        expect (log_is_diff t ~snap_xs ~snap_ys xs ys)
+        expect (log_is_diff t ~snap_xs ~snap_ys xs ys);
+        synced := true
       in
       pack ();
       for _ = 1 to 2000 do
-        (match Rng.int rng 17 with
+        let was = !synced in
+        synced := false;
+        (match Rng.int rng 12 with
         | 0 -> Bstar_tree.rotate t (Rng.int rng n)
         | 1 -> Bstar_tree.swap_blocks t (Rng.int rng n) (Rng.int rng n)
         | 2 -> Bstar_tree.move_block t ~rng (Rng.int rng n)
         | 3 -> Bstar_tree.perturb t ~rng ~rotatable
         | 4 -> Bstar_tree.undo t
-        | 5 -> Bstar_tree.unpack t xs ys
-        | 6 -> Bstar_tree.unpack t (Array.copy xs) (Array.copy ys)
-        | 7 ->
-            incr packs;
-            expect (Bstar_tree.pack t = Bstar_tree.pack_reference t)
-        | 8 ->
-            let pos = Array.make n (0, 0) in
-            let wh = Bstar_tree.pack_into t pos in
-            incr packs;
-            expect ((pos, wh) = Bstar_tree.pack_reference t)
-        | 9 -> pack ()
+        | 5 -> pack ()
         | _ ->
             Bstar_tree.perturb t ~rng ~rotatable;
             pack ();
             if Rng.bool rng then begin
+              (* a rejection: back to the reverted tree's pack, if the
+                 positions held the tree's pack before the move *)
               Bstar_tree.undo t;
-              match Rng.int rng 4 with
-              | 0 -> ()
-              | 1 ->
-                  Bstar_tree.unpack t (Array.copy xs) (Array.copy ys);
-                  Bstar_tree.unpack t xs ys
-              | _ -> Bstar_tree.unpack t xs ys
+              synced := was;
+              if was then expect (placement t = Bstar_tree.pack_reference t)
             end);
         expect (Bstar_tree.check t = [])
       done;
@@ -437,8 +428,8 @@ let random_nets rng n =
       Array.of_list (draw [] (min k n)))
 
 (* Drive the cache exactly the way the annealer does, on each footprint
-   mix: pack in place, update from the pack's moved-block log, random
-   accept/undo (the positions reverted from the same log) — and assert
+   mix: pack, update from the pack's moved-block log, random accept/undo
+   (the tree reverts the positions from the same log) — and assert
    the cached total equals the from-scratch HPWL after every single
    step.  On the suite-shaped mix at least 30% of the packs skip the
    repack, so the cache also sees the skip's logs. *)
@@ -455,8 +446,8 @@ let prop_hpwl_cache_matches_scratch =
         let n = Array.length dims in
         let nets = random_nets rng n in
         let tree = Bstar_tree.create dims in
-        let xs = Array.make n 0 and ys = Array.make n 0 in
-        ignore (Bstar_tree.pack_xy tree xs ys);
+        Bstar_tree.pack tree;
+        let xs = Bstar_tree.xs tree and ys = Bstar_tree.ys tree in
         let before = Bstar_tree.repacks tree in
         let cache = Hpwl_cache.create ~n_nodes:n nets in
         ignore (Hpwl_cache.rebuild cache ~xs ~ys);
@@ -465,14 +456,13 @@ let prop_hpwl_cache_matches_scratch =
         in
         for _ = 1 to 1000 do
           Bstar_tree.perturb tree ~rng ~rotatable;
-          ignore (Bstar_tree.pack_xy tree xs ys);
+          Bstar_tree.pack tree;
           Hpwl_cache.update cache ~xs ~ys ~changed:(Bstar_tree.moved tree)
             ~n_changed:(Bstar_tree.n_moved tree);
           if not (agree ()) then ok := false;
           (* randomly reject the move, as the annealer would *)
           if Rng.bool rng then begin
             Bstar_tree.undo tree;
-            Bstar_tree.unpack tree xs ys;
             Hpwl_cache.restore cache;
             if not (agree ()) then ok := false
           end

@@ -323,8 +323,11 @@ let test_grid_probe () =
   check Alcotest.int "avoid_used spares shared cells" 1 (probe ~avoid_used:true shared);
   check Alcotest.int "enter_cost agrees" (Grid.enter_cost g ~penalty:3 used) (probe used);
   Alcotest.check_raises "out of bounds"
-    (Invalid_argument "Grid.enter_cost: out of bounds (10,0,0)") (fun () ->
-      ignore (probe (vec 10 0 0)))
+    (Invalid_argument "Grid.probe: out of bounds (10,0,0)") (fun () ->
+      ignore (probe (vec 10 0 0)));
+  Alcotest.check_raises "enter_cost out of bounds"
+    (Invalid_argument "Grid.enter_cost: out of bounds (0,-1,0)") (fun () ->
+      ignore (Grid.enter_cost g ~penalty:3 (vec 0 (-1) 0)))
 
 let test_grid_die_cost () =
   let die = Box3.make (vec 0 0 0) (vec 4 4 4) in
