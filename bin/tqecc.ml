@@ -168,7 +168,10 @@ let timings_arg =
   let doc =
     "Print per-stage wall times, the placer's work (nodes, annealing \
      moves attempted and accepted, accept ratio, moves that ran the full \
-     B*-tree repack) and the router's counters after the run."
+     B*-tree repack), the router's counters and a memory line (the \
+     routing grid's allocated and total tiles and its heap words, and \
+     the process's peak resident set size, n/a where /proc is missing) \
+     after the run and its check."
   in
   Arg.(value & flag & info [ "timings" ] ~doc)
 
@@ -198,7 +201,14 @@ let print_timings (r : Pipeline.t) =
     rc.Tqec_route.Counters.fine_searches rc.Tqec_route.Counters.flat_searches
     rc.Tqec_route.Counters.flat_fallbacks
     rc.Tqec_route.Counters.scratch_grows rc.Tqec_route.Counters.astar_pops
-    rc.Tqec_route.Counters.astar_pushes
+    rc.Tqec_route.Counters.astar_pushes;
+  let gm = r.Pipeline.grid_mem in
+  Format.printf "memory: grid tiles=%d/%d words=%d peak-rss=%s@."
+    gm.Tqec_route.Grid.mem_tiles gm.Tqec_route.Grid.mem_tiles_total
+    gm.Tqec_route.Grid.mem_words
+    (match Tqec_util.Stats.peak_rss_kb () with
+    | Some kb -> Printf.sprintf "%dkB" kb
+    | None -> "n/a")
 
 let porcelain_arg =
   let doc =
@@ -240,8 +250,10 @@ let compress_cmd =
         r.Pipeline.stages.Pipeline.st_dual_bridges
         r.Pipeline.routing.Tqec_route.Pathfinder.success r.Pipeline.elapsed
     end;
+    (* checked first, so the memory line's peak covers the check too *)
+    let issues = Tqec_verify.Violation.to_strings (Pipeline.verify r) in
     if timings then print_timings r;
-    match Tqec_verify.Violation.to_strings (Pipeline.verify r) with
+    match issues with
     | [] -> ()
     | issues ->
         List.iter (Format.eprintf "warning: %s@.") issues;

@@ -45,16 +45,24 @@ let fdiv2 c = if c >= 0 then c / 2 else (c - 1) / 2
 let cell_of_vertex (v : Vec3.t) = Vec3.make (fdiv2 v.x) (fdiv2 v.y) (fdiv2 v.z)
 
 let cells d =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun v ->
-      let c = cell_of_vertex v in
-      if Hashtbl.mem seen c then None
-      else begin
-        Hashtbl.add seen c ();
-        Some c
-      end)
-    d.path
+  match d.path with
+  | [] -> []
+  | [ v ] -> [ cell_of_vertex v ]
+  | [ a; b ] ->
+      (* the strands emission writes: no table for one comparison *)
+      let ca = cell_of_vertex a and cb = cell_of_vertex b in
+      if Vec3.equal ca cb then [ ca ] else [ ca; cb ]
+  | path ->
+      let seen = Hashtbl.create 16 in
+      List.filter_map
+        (fun v ->
+          let c = cell_of_vertex v in
+          if Hashtbl.mem seen c then None
+          else begin
+            Hashtbl.add seen c ();
+            Some c
+          end)
+        path
 
 let length d =
   let n = List.length d.path in

@@ -7,20 +7,23 @@ module Pqueue = Tqec_util.Pqueue
    the current search, so reuse needs no O(cells) clearing.  Each worker
    domain owns its scratch — nothing here is shared.
 
-   [own] and [exempt] are per-cell flags set when they equal [gen]: the
-   cell lies on the searching net's own route, or is a source or the
-   target (exempt from blocking).  [tile_stamp]/[tile_val] form a
-   tile-indexed int map, valid where the stamp equals [gen]: a tile's
-   corridor slot in the fine pass, its count of excluded cells in the
-   coarse pass. *)
+   A search cell is two words of [cells]: its meta word at [2 * code]
+   and its g score at [2 * code + 1].  The meta word packs, from the
+   low bits up, the direction of the step that reached the cell (one of
+   [dir_*], or [no_parent]), the own-route flag (the cell lies on the
+   searching net's own route), the exempt flag (a source or the target,
+   exempt from blocking) and the generation of the search that last
+   touched the cell.  Generations only grow, so a meta word below
+   [gen lsl gen_shift] belongs to an earlier search and the cell reads
+   as untouched: no flags, no parent, g infinite.  The heuristic is not
+   stored: a search recomputes it from the cell's coordinates.
+
+   [tile_stamp]/[tile_val] form a tile-indexed int map, valid where the
+   stamp equals [gen]: a tile's corridor slot in the fine pass, its
+   count of excluded cells in the coarse pass. *)
 type scratch = {
   mutable cap : int;
-  mutable g_score : int array;
-  mutable parent : int array;
-  mutable h_cache : int array;
-  mutable stamp : int array;
-  mutable own : int array;
-  mutable exempt : int array;
+  mutable cells : int array;
   mutable tile_stamp : int array;
   mutable tile_val : int array;
   mutable gen : int;
@@ -33,12 +36,7 @@ type scratch = {
 let create_scratch () =
   {
     cap = 0;
-    g_score = [||];
-    parent = [||];
-    h_cache = [||];
-    stamp = [||];
-    own = [||];
-    exempt = [||];
+    cells = [||];
     tile_stamp = [||];
     tile_val = [||];
     gen = 0;
@@ -46,24 +44,64 @@ let create_scratch () =
     member = Hashtbl.create 64;
   }
 
-(* Grow the per-cell arrays to at least [cells] slots and the tile map
-   to at least [tiles] (the grid's directory size, fixed per grid).
-   Geometric growth: once the scratch has warmed to the largest region
-   seen, further searches — including every widening step of the
-   corridor escalation ladder — reallocate nothing
-   ([Counters.scratch_grows] stays flat, which bench/route_stress.ml
-   pins). *)
-let grow ?(tiles = 0) scr cells =
-  if scr.cap < cells || Array.length scr.tile_stamp < tiles then begin
+(* The step that reached a cell, in the order of Vec3.axis_neighbors;
+   [no_parent] marks a source or a cell not reached yet. *)
+let no_parent = 0
+let dir_px = 1
+let dir_nx = 2
+let dir_py = 3
+let dir_ny = 4
+let dir_pz = 5
+let dir_nz = 6
+let dir_mask = 7
+let own_flag = 8
+let exempt_flag = 16
+let gen_shift = 5
+
+(* The code of the cell [code] was reached from by step [dir], in a
+   row-major layout with x stride [sx], y stride [sy] and z stride 1. *)
+let parent_code ~sx ~sy code dir =
+  if dir = dir_px then code - sx
+  else if dir = dir_nx then code + sx
+  else if dir = dir_py then code - sy
+  else if dir = dir_ny then code + sy
+  else if dir = dir_pz then code - 1
+  else code + 1
+
+(* Set [flag] on cell [code] of the search whose shifted generation is
+   [live], touching the cell first if an earlier search owns it. *)
+let mark cells live code flag =
+  let i = 2 * code in
+  if cells.(i) < live then begin
+    cells.(i) <- live lor flag;
+    cells.(i + 1) <- max_int
+  end
+  else cells.(i) <- cells.(i) lor flag
+
+(* [flag] is set in meta word [m], read by the search of shifted
+   generation [live]. *)
+let flagged live m flag = m >= live && m land flag <> 0
+
+(* Record that the search of shifted generation [live] reached [code]
+   by step [dir] at cost [g], keeping the cell's flags. *)
+let reach cells live code dir g =
+  let i = 2 * code in
+  let m = cells.(i) in
+  cells.(i) <- (if m < live then live else m land lnot dir_mask) lor dir;
+  cells.(i + 1) <- g
+
+(* Grow the cells to at least [n] slots and the tile map to at least
+   [tiles] (the grid's directory size, fixed per grid).  Geometric
+   growth: once the scratch has warmed to the largest region seen,
+   further searches — including every widening step of the corridor
+   escalation ladder — reallocate nothing ([Counters.scratch_grows]
+   stays flat, which bench/route_stress.ml pins). *)
+let grow ?(tiles = 0) scr n =
+  if scr.cap < n || Array.length scr.tile_stamp < tiles then begin
     Atomic.incr Counters.scratch_grows;
-    if scr.cap < cells then begin
-      let cap = max cells (max 64 (2 * scr.cap)) in
-      scr.g_score <- Array.make cap max_int;
-      scr.parent <- Array.make cap (-1);
-      scr.h_cache <- Array.make cap 0;
-      scr.stamp <- Array.make cap 0;
-      scr.own <- Array.make cap 0;
-      scr.exempt <- Array.make cap 0;
+    if scr.cap < n then begin
+      let cap = max n (max 64 (2 * scr.cap)) in
+      scr.cells <- Array.make (2 * cap) 0;
       scr.cap <- cap
     end;
     if Array.length scr.tile_stamp < tiles then begin
@@ -71,6 +109,12 @@ let grow ?(tiles = 0) scr cells =
       scr.tile_val <- Array.make tiles 0
     end
   end
+
+(* Start a search: the generation whose shifted value [live] tells the
+   search's cells from stale ones. *)
+let next_gen scr =
+  scr.gen <- scr.gen + 1;
+  scr.gen lsl gen_shift
 
 (* Per-search work, added once when a search ends. *)
 let record_work ~pops ~pushes =
@@ -98,7 +142,6 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
   let lx = lo.Vec3.x and ly = lo.Vec3.y and lz = lo.Vec3.z in
   let hx = hi.Vec3.x and hy = hi.Vec3.y and hz = hi.Vec3.z in
   let ny = Box3.dy region and nz = Box3.dz region in
-  let cells = Box3.dx region * ny * nz in
   let encode (p : Vec3.t) = ((((p.x - lx) * ny) + (p.y - ly)) * nz) + (p.z - lz) in
   let decode i =
     let z = i mod nz in
@@ -111,44 +154,22 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
   else begin
     Atomic.incr Counters.flat_searches;
     let scr = match scratch with Some s -> s | None -> create_scratch () in
-    grow scr cells;
-    scr.gen <- scr.gen + 1;
-    let gen = scr.gen in
-    let g_score = scr.g_score
-    and parent = scr.parent
-    and h_cache = scr.h_cache
-    and stamp = scr.stamp
-    and own = scr.own
-    and exempt = scr.exempt in
+    grow scr (Box3.dx region * ny * nz);
+    let live = next_gen scr in
+    let cells = scr.cells in
     let open_q = scr.queue in
     Pqueue.clear open_q;
     List.iter
-      (fun s -> if Box3.contains region s then exempt.(encode s) <- gen)
+      (fun s -> if Box3.contains region s then mark cells live (encode s) exempt_flag)
       sources;
     let target_code = encode target in
-    exempt.(target_code) <- gen;
-    (* The heuristic is fixed per cell, so compute it once when the cell
-       is first touched this search (against precomputed target
-       coordinates): the stale-entry check at pop never decodes the cell
-       or re-derives the Manhattan distance. *)
+    mark cells live target_code exempt_flag;
     let tx = target.Vec3.x and ty = target.Vec3.y and tz = target.Vec3.z in
-    let touch x y z code =
-      if stamp.(code) <> gen then begin
-        stamp.(code) <- gen;
-        g_score.(code) <- max_int;
-        parent.(code) <- -1;
-        h_cache.(code) <- abs (x - tx) + abs (y - ty) + abs (z - tz)
-      end
-    in
+    let h x y z = abs (x - tx) + abs (y - ty) + abs (z - tz) in
     (* Cells of the searching net's own current route are priced as if
        already ripped up (usage - 1). *)
     List.iter
-      (fun (c : Vec3.t) ->
-        if Box3.contains region c then begin
-          let code = encode c in
-          touch c.x c.y c.z code;
-          own.(code) <- gen
-        end)
+      (fun c -> if Box3.contains region c then mark cells live (encode c) own_flag)
       exclude;
     let pushes = ref 0 in
     (* In-region sources are exempt, hence passable. *)
@@ -156,30 +177,29 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
       (fun (s : Vec3.t) ->
         if Box3.contains region s then begin
           let code = encode s in
-          touch s.x s.y s.z code;
-          g_score.(code) <- 0;
+          cells.((2 * code) + 1) <- 0;
           incr pushes;
-          Pqueue.push open_q h_cache.(code) code
+          Pqueue.push open_q (h s.x s.y s.z) code
         end)
       sources;
     (* A neighbour already reached this search at g <= gp + 1 cannot
        improve (every entry costs at least 1), so it is not probed; for
-       it the probe, [touch] and the comparison would change nothing. *)
-    let relax gp from x y z code =
-      if stamp.(code) <> gen || g_score.(code) > gp + 1 then begin
+       it the probe and the comparison would change nothing. *)
+    let relax gp dir x y z code =
+      let m = cells.(2 * code) in
+      if m < live || cells.((2 * code) + 1) > gp + 1 then begin
         let cost =
-          Grid.probe grid ~penalty ~avoid_used ~exempt:(exempt.(code) = gen)
-            ~dusage:(if own.(code) = gen then -1 else 0)
+          Grid.probe grid ~penalty ~avoid_used
+            ~exempt:(flagged live m exempt_flag)
+            ~dusage:(if flagged live m own_flag then -1 else 0)
             x y z
         in
         if cost >= 0 then begin
-          touch x y z code;
           let tentative = gp + cost in
-          if tentative < g_score.(code) then begin
-            g_score.(code) <- tentative;
-            parent.(code) <- from;
+          if m < live || tentative < cells.((2 * code) + 1) then begin
+            reach cells live code dir tentative;
             incr pushes;
-            Pqueue.push open_q (tentative + h_cache.(code)) code
+            Pqueue.push open_q (tentative + h x y z) code
           end
         end
       end
@@ -192,20 +212,20 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
       incr pops;
       let f = Pqueue.min_key open_q in
       let code = Pqueue.pop open_q in
-      let gp = g_score.(code) in
+      let gp = cells.((2 * code) + 1) in
+      let z = lz + (code mod nz) and rest = code / nz in
+      let y = ly + (rest mod ny) and x = lx + (rest / ny) in
       (* skip stale queue entries *)
-      if f <= gp + h_cache.(code) then begin
+      if f <= gp + h x y z then begin
         if code = target_code then found := true
         else begin
-          let z = lz + (code mod nz) and rest = code / nz in
-          let y = ly + (rest mod ny) and x = lx + (rest / ny) in
           (* the order of Vec3.axis_neighbors: +x -x +y -y +z -z *)
-          if x < hx then relax gp code (x + 1) y z (code + sx);
-          if x > lx then relax gp code (x - 1) y z (code - sx);
-          if y < hy then relax gp code x (y + 1) z (code + sy);
-          if y > ly then relax gp code x (y - 1) z (code - sy);
-          if z < hz then relax gp code x y (z + 1) (code + 1);
-          if z > lz then relax gp code x y (z - 1) (code - 1)
+          if x < hx then relax gp dir_px (x + 1) y z (code + sx);
+          if x > lx then relax gp dir_nx (x - 1) y z (code - sx);
+          if y < hy then relax gp dir_py x (y + 1) z (code + sy);
+          if y > ly then relax gp dir_ny x (y - 1) z (code - sy);
+          if z < hz then relax gp dir_pz x y (z + 1) (code + 1);
+          if z > lz then relax gp dir_nz x y (z - 1) (code - 1)
         end
       end
     done;
@@ -214,7 +234,8 @@ let search ?scratch ?(max_expansions = 400_000) ?(avoid_used = false)
     else begin
       let rec backtrack acc code =
         let acc = decode code :: acc in
-        if parent.(code) = -1 then acc else backtrack acc parent.(code)
+        let dir = cells.(2 * code) land dir_mask in
+        if dir = no_parent then acc else backtrack acc (parent_code ~sx ~sy code dir)
       in
       Some (backtrack [] target_code)
     end
@@ -279,13 +300,9 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
   let _, tdy, tdz = Grid.tile_dims grid in
   let n_tiles = Grid.n_tiles grid in
   grow ~tiles:n_tiles scr n_tiles;
-  scr.gen <- scr.gen + 1;
+  let live = next_gen scr in
   let gen = scr.gen in
-  let g_score = scr.g_score
-  and parent = scr.parent
-  and h_cache = scr.h_cache
-  and stamp = scr.stamp
-  and exempt = scr.exempt
+  let cells = scr.cells
   and excl_stamp = scr.tile_stamp
   and excl_count = scr.tile_val in
   let open_q = scr.queue in
@@ -301,19 +318,21 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
   let thx = (thi.Vec3.x - lo.Vec3.x) / edge
   and thy = (thi.Vec3.y - lo.Vec3.y) / edge
   and thz = (thi.Vec3.z - lo.Vec3.z) / edge in
+  let sx = tdy * tdz and sy = tdz in
   let encode x y z = ((x * tdy) + y) * tdz + z in
   let die = Grid.die grid in
-  let ttx = Grid.tile_index grid target / (tdy * tdz) in
+  let ttx = Grid.tile_index grid target / sx in
   let tty = Grid.tile_index grid target / tdz mod tdy in
   let ttz = Grid.tile_index grid target mod tdz in
   let target_code = encode ttx tty ttz in
-  exempt.(target_code) <- gen;
+  mark cells live target_code exempt_flag;
   (match source_tiles with
-  | Some tiles -> List.iter (fun ti -> exempt.(ti) <- gen) tiles
+  | Some tiles -> List.iter (fun ti -> mark cells live ti exempt_flag) tiles
   | None ->
       List.iter
         (fun s ->
-          if Box3.contains region s then exempt.(Grid.tile_index grid s) <- gen)
+          if Box3.contains region s then
+            mark cells live (Grid.tile_index grid s) exempt_flag)
         sources);
   List.iter
     (fun c ->
@@ -326,14 +345,7 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
         end
       end)
     exclude;
-  let touch x y z code =
-    if stamp.(code) <> gen then begin
-      stamp.(code) <- gen;
-      g_score.(code) <- max_int;
-      parent.(code) <- -1;
-      h_cache.(code) <- (abs (x - ttx) + abs (y - tty) + abs (z - ttz)) * edge
-    end
-  in
+  let h x y z = (abs (x - ttx) + abs (y - tty) + abs (z - ttz)) * edge in
   (* Entering a tile costs roughly a tile traversal: the edge length at
      base cost, scaled up by the tile's average congestion (summed usage
      weighted by the negotiation penalty, plus history) and by the
@@ -363,13 +375,12 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
     base + (congestion * penalty * edge / Grid.tile_cells)
   in
   let pushes = ref 0 in
+  (* every seed tile was marked exempt above, so it is touched *)
   let seed code =
-    let x = code / (tdy * tdz) and y = code / tdz mod tdy and z = code mod tdz in
-    touch x y z code;
-    if g_score.(code) <> 0 then begin
-      g_score.(code) <- 0;
+    if cells.((2 * code) + 1) <> 0 then begin
+      cells.((2 * code) + 1) <- 0;
       incr pushes;
-      Pqueue.push open_q h_cache.(code) code
+      Pqueue.push open_q (h (code / sx) (code / tdz mod tdy) (code mod tdz)) code
     end
   in
   (match source_tiles with
@@ -379,25 +390,24 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
         (fun (s : Vec3.t) ->
           if Box3.contains region s then seed (Grid.tile_index grid s))
         sources);
-  let expand gp from nx ny nz =
+  let expand gp dir nx ny nz =
     if
       nx >= tlx && nx <= thx && ny >= tly && ny <= thy && nz >= tlz
       && nz <= thz
     then begin
       let ncode = encode nx ny nz in
+      let m = cells.(2 * ncode) in
       (* the flat pass's settled-neighbour skip: entering a tile costs
          at least [edge] *)
       if
-        (stamp.(ncode) <> gen || g_score.(ncode) > gp + edge)
-        && (exempt.(ncode) = gen || not (Grid.tile_blocked grid ncode))
+        (m < live || cells.((2 * ncode) + 1) > gp + edge)
+        && (flagged live m exempt_flag || not (Grid.tile_blocked grid ncode))
       then begin
-        touch nx ny nz ncode;
         let tentative = gp + enter_tile nx ny nz ncode in
-        if tentative < g_score.(ncode) then begin
-          g_score.(ncode) <- tentative;
-          parent.(ncode) <- from;
+        if m < live || tentative < cells.((2 * ncode) + 1) then begin
+          reach cells live ncode dir tentative;
           incr pushes;
-          Pqueue.push open_q (tentative + h_cache.(ncode)) ncode
+          Pqueue.push open_q (tentative + h nx ny nz) ncode
         end
       end
     end
@@ -409,17 +419,17 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
     incr pops;
     let f = Pqueue.min_key open_q in
     let code = Pqueue.pop open_q in
-    let gp = g_score.(code) in
-    if f <= gp + h_cache.(code) then begin
+    let gp = cells.((2 * code) + 1) in
+    let x = code / sx and y = code / tdz mod tdy and z = code mod tdz in
+    if f <= gp + h x y z then begin
       if code = target_code then found := true
       else begin
-        let x = code / (tdy * tdz) and y = code / tdz mod tdy and z = code mod tdz in
-        expand gp code (x - 1) y z;
-        expand gp code (x + 1) y z;
-        expand gp code x (y - 1) z;
-        expand gp code x (y + 1) z;
-        expand gp code x y (z - 1);
-        expand gp code x y (z + 1)
+        expand gp dir_nx (x - 1) y z;
+        expand gp dir_px (x + 1) y z;
+        expand gp dir_ny x (y - 1) z;
+        expand gp dir_py x (y + 1) z;
+        expand gp dir_nz x y (z - 1);
+        expand gp dir_pz x y (z + 1)
       end
     end
   done;
@@ -439,13 +449,14 @@ let coarse_corridor ?(exclude = []) ?source_tiles scr grid ~region ~sources
     in
     let rec walk code =
       add code;
-      if parent.(code) <> -1 then walk parent.(code)
+      let dir = cells.(2 * code) land dir_mask in
+      if dir <> no_parent then walk (parent_code ~sx ~sy code dir)
     in
     walk target_code;
     let on_path = List.rev !corridor in
     List.iter
       (fun code ->
-        let x = code / (tdy * tdz) and y = code / tdz mod tdy and z = code mod tdz in
+        let x = code / sx and y = code / tdz mod tdy and z = code mod tdz in
         let ring nx ny nz =
           if
             nx >= tlx && nx <= thx && ny >= tly && ny <= thy && nz >= tlz
@@ -480,14 +491,9 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
     let tcells = Grid.tile_cells in
     let slots = Array.of_list corridor in
     grow ~tiles:(Grid.n_tiles grid) scr (Array.length slots * tcells);
-    scr.gen <- scr.gen + 1;
+    let live = next_gen scr in
     let gen = scr.gen in
-    let g_score = scr.g_score
-    and parent = scr.parent
-    and h_cache = scr.h_cache
-    and stamp = scr.stamp
-    and own = scr.own
-    and exempt = scr.exempt
+    let cells = scr.cells
     and slot_stamp = scr.tile_stamp
     and slot_of = scr.tile_val in
     Array.iteri
@@ -525,38 +531,24 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
       xyz.(1) <- gy + ((ti / tdz mod tdy) lsl bits) + ((code lsr bits) land mask);
       xyz.(2) <- gz + ((ti mod tdz) lsl bits) + (code land mask)
     in
-    let decode code =
-      locate code;
-      Vec3.make xyz.(0) xyz.(1) xyz.(2)
-    in
     List.iter
       (fun (s : Vec3.t) ->
         if Box3.contains region s then begin
           let c = encode s.x s.y s.z in
-          if c >= 0 then exempt.(c) <- gen
+          if c >= 0 then mark cells live c exempt_flag
         end)
       sources;
     let target_code = encode target.Vec3.x target.Vec3.y target.Vec3.z in
     if target_code < 0 then None
     else begin
-      exempt.(target_code) <- gen;
+      mark cells live target_code exempt_flag;
       let tx = target.Vec3.x and ty = target.Vec3.y and tz = target.Vec3.z in
-      let touch x y z code =
-        if stamp.(code) <> gen then begin
-          stamp.(code) <- gen;
-          g_score.(code) <- max_int;
-          parent.(code) <- -1;
-          h_cache.(code) <- abs (x - tx) + abs (y - ty) + abs (z - tz)
-        end
-      in
+      let h x y z = abs (x - tx) + abs (y - ty) + abs (z - tz) in
       List.iter
         (fun (c : Vec3.t) ->
           if Box3.contains region c then begin
             let code = encode c.x c.y c.z in
-            if code >= 0 then begin
-              touch c.x c.y c.z code;
-              own.(code) <- gen
-            end
+            if code >= 0 then mark cells live code own_flag
           end)
         exclude;
       let pushes = ref 0 in
@@ -566,10 +558,9 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
           if Box3.contains region s then begin
             let code = encode s.x s.y s.z in
             if code >= 0 then begin
-              touch s.x s.y s.z code;
-              g_score.(code) <- 0;
+              cells.((2 * code) + 1) <- 0;
               incr pushes;
-              Pqueue.push open_q h_cache.(code) code
+              Pqueue.push open_q (h s.x s.y s.z) code
             end
           end)
         sources;
@@ -577,22 +568,24 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
       and ly = region.Box3.lo.Vec3.y and hy = region.Box3.hi.Vec3.y
       and lz = region.Box3.lo.Vec3.z and hz = region.Box3.hi.Vec3.z in
       (* the flat pass's settled-neighbour skip *)
-      let relax gp from x y z =
+      let relax gp dir x y z =
         let code = encode x y z in
-        if code >= 0 && (stamp.(code) <> gen || g_score.(code) > gp + 1) then begin
-          let cost =
-            Grid.probe grid ~penalty ~avoid_used ~exempt:(exempt.(code) = gen)
-              ~dusage:(if own.(code) = gen then -1 else 0)
-              x y z
-          in
-          if cost >= 0 then begin
-            touch x y z code;
-            let tentative = gp + cost in
-            if tentative < g_score.(code) then begin
-              g_score.(code) <- tentative;
-              parent.(code) <- from;
-              incr pushes;
-              Pqueue.push open_q (tentative + h_cache.(code)) code
+        if code >= 0 then begin
+          let m = cells.(2 * code) in
+          if m < live || cells.((2 * code) + 1) > gp + 1 then begin
+            let cost =
+              Grid.probe grid ~penalty ~avoid_used
+                ~exempt:(flagged live m exempt_flag)
+                ~dusage:(if flagged live m own_flag then -1 else 0)
+                x y z
+            in
+            if cost >= 0 then begin
+              let tentative = gp + cost in
+              if m < live || tentative < cells.((2 * code) + 1) then begin
+                reach cells live code dir tentative;
+                incr pushes;
+                Pqueue.push open_q (tentative + h x y z) code
+              end
             end
           end
         end
@@ -604,28 +597,38 @@ let fine_in_corridor ?(max_expansions = 400_000) ?(avoid_used = false)
         incr pops;
         let f = Pqueue.min_key open_q in
         let code = Pqueue.pop open_q in
-        let gp = g_score.(code) in
-        if f <= gp + h_cache.(code) then begin
+        let gp = cells.((2 * code) + 1) in
+        locate code;
+        let x = xyz.(0) and y = xyz.(1) and z = xyz.(2) in
+        if f <= gp + h x y z then begin
           if code = target_code then found := true
           else begin
-            locate code;
-            let x = xyz.(0) and y = xyz.(1) and z = xyz.(2) in
             (* the order of Vec3.axis_neighbors: +x -x +y -y +z -z *)
-            if x < hx then relax gp code (x + 1) y z;
-            if x > lx then relax gp code (x - 1) y z;
-            if y < hy then relax gp code x (y + 1) z;
-            if y > ly then relax gp code x (y - 1) z;
-            if z < hz then relax gp code x y (z + 1);
-            if z > lz then relax gp code x y (z - 1)
+            if x < hx then relax gp dir_px (x + 1) y z;
+            if x > lx then relax gp dir_nx (x - 1) y z;
+            if y < hy then relax gp dir_py x (y + 1) z;
+            if y > ly then relax gp dir_ny x (y - 1) z;
+            if z < hz then relax gp dir_pz x y (z + 1);
+            if z > lz then relax gp dir_nz x y (z - 1)
           end
         end
       done;
       record_work ~pops:!pops ~pushes:!pushes;
       if not !found then None
       else begin
+        (* a parent is the cell one step back along the reaching
+           direction; it was expanded, so it lies in the corridor *)
         let rec backtrack acc code =
-          let acc = decode code :: acc in
-          if parent.(code) = -1 then acc else backtrack acc parent.(code)
+          locate code;
+          let x = xyz.(0) and y = xyz.(1) and z = xyz.(2) in
+          let acc = Vec3.make x y z :: acc in
+          let dir = cells.(2 * code) land dir_mask in
+          if dir = no_parent then acc
+          else
+            let px = if dir = dir_px then x - 1 else if dir = dir_nx then x + 1 else x
+            and py = if dir = dir_py then y - 1 else if dir = dir_ny then y + 1 else y
+            and pz = if dir = dir_pz then z - 1 else if dir = dir_nz then z + 1 else z in
+            backtrack acc (encode px py pz)
         in
         Some (backtrack [] target_code)
       end

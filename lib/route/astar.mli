@@ -19,7 +19,18 @@
     sequential searches (arrays grow to the largest region seen and are
     invalidated by generation stamps, never cleared); distinct concurrent
     searchers must each own their scratch — it contains the open queue and
-    the score arrays, so sharing one across domains is a data race. *)
+    the score arrays, so sharing one across domains is a data race.
+
+    A search cell takes two words, in one int array shared by the flat,
+    coarse and fine passes: a meta word packing the search generation,
+    the own-route and exempt flags and the direction of the step that
+    reached the cell (its parent is the neighbour one step back), and
+    the cell's g score.  The heuristic is recomputed from the cell's
+    coordinates rather than stored.  Beside the cells the scratch holds a
+    tile-indexed map (two words per grid tile, for the coarse and fine
+    passes), the open queue and the corridor assembly table; after one
+    flat search over an R-cell region, a fresh scratch holds about 2R
+    words. *)
 type scratch
 
 val create_scratch : unit -> scratch

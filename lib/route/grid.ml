@@ -18,9 +18,13 @@ let tile_mask = tile_edge - 1
 
 let tile_cells = tile_edge * tile_edge * tile_edge
 
+(* [t_usage] and [t_hist] stay [[||]] (every cell 0) until the first
+   write of a usage or a history: tiles that only hold obstacles and
+   pins — module cores, and every tile of a grid rebuilt for checking —
+   keep just their two byte masks. *)
 type tile = {
-  t_usage : int array;
-  t_hist : int array;
+  mutable t_usage : int array;
+  mutable t_hist : int array;
   t_obst : Bytes.t;
   t_shared : Bytes.t;
   (* Incrementally maintained tile summaries, the capacity signal the
@@ -123,14 +127,20 @@ let guard g p name =
 
 let fresh_tile () =
   {
-    t_usage = Array.make tile_cells 0;
-    t_hist = Array.make tile_cells 0;
+    t_usage = [||];
+    t_hist = [||];
     t_obst = Bytes.make tile_cells '\000';
     t_shared = Bytes.make tile_cells '\000';
     t_sum_usage = 0;
     t_sum_hist = 0;
     t_n_obst = 0;
   }
+
+(* Cell [ci] of a lazily allocated cost array: 0 before its first write. *)
+let cell_of costs ci = if Array.length costs = 0 then 0 else costs.(ci)
+
+(* [costs] ready for a write: allocated on the first. *)
+let writable costs = if Array.length costs = 0 then Array.make tile_cells 0 else costs
 
 let ensure_tile g ti =
   match g.tiles.(ti) with
@@ -184,16 +194,17 @@ let is_shared g p =
 let usage g p =
   guard g p "usage";
   let ti, ci = tile_cell g p in
-  match g.tiles.(ti) with None -> 0 | Some t -> t.t_usage.(ci)
+  match g.tiles.(ti) with None -> 0 | Some t -> cell_of t.t_usage ci
 
 let add_usage g p delta =
   guard g p "add_usage";
   let ti, ci = tile_cell g p in
   (* reject before writing: a refused delta leaves the cell, the tile
      summary and the generation timeline exactly as they were *)
-  let u = delta + match g.tiles.(ti) with None -> 0 | Some t -> t.t_usage.(ci) in
+  let u = delta + match g.tiles.(ti) with None -> 0 | Some t -> cell_of t.t_usage ci in
   if u < 0 then invalid_arg "Grid.add_usage: negative usage";
   let t = ensure_tile g ti in
+  t.t_usage <- writable t.t_usage;
   t.t_usage.(ci) <- u;
   t.t_sum_usage <- t.t_sum_usage + delta;
   if delta <> 0 then bump_gen g ti;
@@ -204,16 +215,17 @@ let add_usage g p delta =
 let history g p =
   guard g p "history";
   let ti, ci = tile_cell g p in
-  match g.tiles.(ti) with None -> 0 | Some t -> t.t_hist.(ci)
+  match g.tiles.(ti) with None -> 0 | Some t -> cell_of t.t_hist ci
 
 let add_history g p delta =
   guard g p "add_history";
   let ti, ci = tile_cell g p in
   (* reject before writing, as [add_usage] does: a negative history
      would price a cell below the floor of 1 the A* kernels rely on *)
-  let h = delta + match g.tiles.(ti) with None -> 0 | Some t -> t.t_hist.(ci) in
+  let h = delta + match g.tiles.(ti) with None -> 0 | Some t -> cell_of t.t_hist ci in
   if h < 0 then invalid_arg "Grid.add_history: negative history";
   let t = ensure_tile g ti in
+  t.t_hist <- writable t.t_hist;
   t.t_hist.(ci) <- h;
   t.t_sum_hist <- t.t_sum_hist + delta;
   if delta <> 0 then bump_gen g ti
@@ -251,15 +263,16 @@ let probe g ~penalty ~dusage ~avoid_used ~exempt x y z =
         lor (oz land tile_mask)
       in
       let shared = Bytes.get t.t_shared ci = '\001' in
+      let usage = cell_of t.t_usage ci in
       if
         (not exempt)
         && (Bytes.get t.t_obst ci = '\001'
-           || (avoid_used && (not shared) && t.t_usage.(ci) >= capacity))
+           || (avoid_used && (not shared) && usage >= capacity))
       then -1
-      else if shared then base + t.t_hist.(ci)
+      else if shared then base + cell_of t.t_hist ci
       else
-        let over = t.t_usage.(ci) + dusage + 1 - capacity in
-        base + t.t_hist.(ci) + (if over > 0 then penalty * over else 0)
+        let over = usage + dusage + 1 - capacity in
+        base + cell_of t.t_hist ci + (if over > 0 then penalty * over else 0)
 
 let enter_cost g ~penalty (p : Vec3.t) =
   guard g p "enter_cost";
@@ -368,14 +381,10 @@ type mem = {
 
 let mem g =
   let tiles = Array.fold_left (fun a t -> if t = None then a else a + 1) 0 g.tiles in
-  let per_tile =
-    (* two boxed int arrays, two byte masks (in words), record header *)
-    (2 * (tile_cells + 1)) + (2 * ((tile_cells / 8) + 1)) + 8
-  in
   {
     mem_tiles = tiles;
     mem_tiles_total = Array.length g.tiles;
     mem_cells = g.nx * g.ny * g.nz;
     mem_touched_cells = tiles * tile_cells;
-    mem_words = Array.length g.tiles + (tiles * per_tile) + (2 * Hashtbl.length g.over);
+    mem_words = Obj.reachable_words (Obj.repr g);
   }

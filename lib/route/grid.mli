@@ -14,7 +14,11 @@
     chunks allocated on first touch through a flat tile directory, so
     memory scales with the touched (routed/obstacled) volume instead of
     the substrate volume.  Untouched cells read as usage 0, history 0, no
-    obstacle, not shared.  Each tile also carries incrementally
+    obstacle, not shared.  A tile starts with its obstacle and shared
+    byte masks only, and allocates its usage array on its first
+    {!add_usage} and its history array on its first {!add_history}: the
+    tiles of module cores and pins, and every tile of a grid rebuilt for
+    checking, never hold either.  Each tile also carries incrementally
     maintained summaries (total usage + history, obstacle count) that the
     hierarchical corridor search reads as tile-level capacity signals. *)
 
@@ -186,9 +190,13 @@ type mem = {
   mem_tiles_total : int;  (** tile directory capacity *)
   mem_cells : int;  (** bounding-box volume in cells *)
   mem_touched_cells : int;  (** [mem_tiles * tile_cells] *)
-  mem_words : int;  (** approximate live heap words held by the grid *)
+  mem_words : int;
+      (** heap words reachable from the grid, headers included
+          ([Obj.reachable_words]): each tile counts its two byte masks
+          and only the usage and history arrays a write allocated *)
 }
 
 (** [mem g] reports how much of the substrate volume is actually
-    materialized — the asymptotics the scale-tier benchmarks track. *)
+    materialized — the asymptotics the scale-tier benchmarks track — and
+    the words it takes. *)
 val mem : t -> mem

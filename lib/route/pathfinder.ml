@@ -67,6 +67,12 @@ let dedup_cells cells =
    [scratch_grows]); the caller's persists across the run. *)
 let scratch_key = Domain.DLS.new_key Astar.create_scratch
 
+(* Beside it, each domain's corridor-cache key scratch: the source tiles
+   already listed while a key is built.  Only the corridor path takes
+   it, and [Hashtbl.clear] keeps its grown bucket table. *)
+let key_seen_key : (int, unit) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
 (* ------------------------------------------------------------------ *)
 (* Corridor cache.                                                     *)
 (*                                                                     *)
@@ -229,9 +235,6 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
       in
       (* newest cell first: the order the searches take as sources *)
       let tree = ref [ first ] in
-      (* cache-key scratch, reused across lookups to keep the hot miss
-         path allocation-light *)
-      let key_seen = Hashtbl.create 64 in
       let tree_set = Hashtbl.create 64 in
       Hashtbl.replace tree_set first ();
       (* Prim order, kept incrementally: the first [n_left] entries of
@@ -300,6 +303,7 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
                 Astar.search_corridor ~scratch ~avoid_used ~exclude grid
                   ~region ~penalty ~sources:!tree ~target:pin
             | Some tbl -> (
+                let key_seen = Domain.DLS.get key_seen_key in
                 Hashtbl.clear key_seen;
                 let tiles = ref [] in
                 List.iter

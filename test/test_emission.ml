@@ -1,7 +1,8 @@
 (* Geometry emission: golden digests of the full emitted description
-   (output must stay byte-identical across refactors of the emitters) and
+   (output must stay byte-identical across refactors of the emitters),
    a deterministic allocation gate that fails any emitter whose work
-   grows faster than linearly in the number of strands. *)
+   grows faster than linearly in the number of strands, and one on the
+   self-check ([Pipeline.verify]) that emission feeds. *)
 
 open Tqec_circuit
 open Tqec_compress
@@ -70,8 +71,11 @@ let test_golden_canonical () =
    per strand allocates thousands of words per defect here. *)
 let words_per_defect_bound = 300.
 
+(* rd84_142@1/4 at quick effort, compiled once for both gates *)
+let rd84_quarter = lazy (compile (Suite.scaled ~factor:4 (suite_entry "rd84_142")))
+
 let test_emission_allocation_linear () =
-  let r = compile (Suite.scaled ~factor:4 (suite_entry "rd84_142")) in
+  let r = Lazy.force rd84_quarter in
   let emit () =
     Emit_core.geometry ~name:"gate" ~graph:r.Pipeline.graph
       ~flipping:r.Pipeline.flipping ~placement:r.Pipeline.placement
@@ -89,6 +93,33 @@ let test_emission_allocation_linear () =
     true
     (per <= words_per_defect_bound)
 
+(* Minor-heap words per routed cell across one [Pipeline.verify], which
+   emits the geometry and checks every stage.  Counts work, not time,
+   so it is deterministic on one domain: the bound is the measured 383
+   plus 10%; with the vertex and cell tables the geometry checks used
+   to build it read 473. *)
+let verify_words_per_routed_cell_bound = 420.
+
+let test_verify_allocation_per_routed_cell () =
+  let r = Lazy.force rd84_quarter in
+  let cells =
+    List.fold_left
+      (fun n (route : Tqec_route.Pathfinder.routed) ->
+        n + List.length route.Tqec_route.Pathfinder.r_cells)
+      0 r.Pipeline.routing.Tqec_route.Pathfinder.routes
+  in
+  let before = Gc.minor_words () in
+  let report = Pipeline.verify r in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.(list string) "verifies clean" []
+    (Tqec_verify.Violation.to_strings report);
+  let per = words /. float_of_int cells in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per routed cell (%d cells) <= %.0f" per
+       cells verify_words_per_routed_cell_bound)
+    true
+    (per <= verify_words_per_routed_cell_bound)
+
 let suites =
   [
     ( "emission",
@@ -97,5 +128,7 @@ let suites =
         Alcotest.test_case "golden Canonical.build" `Quick test_golden_canonical;
         Alcotest.test_case "allocation linear in defects" `Quick
           test_emission_allocation_linear;
+        Alcotest.test_case "verify allocation per routed cell" `Quick
+          test_verify_allocation_per_routed_cell;
       ] );
   ]

@@ -211,6 +211,214 @@ let test_crossings_reported () =
   check Alcotest.int "signs cancel" 0 (List.fold_left ( + ) 0 signs)
 
 (* ------------------------------------------------------------------ *)
+(* Differential tests of the table-free geometry checks                *)
+(* ------------------------------------------------------------------ *)
+
+(* The vertex-table [Geometry.check] that the sort-based one replaced,
+   kept as the oracle: same issues, same order. *)
+let reference_check (g : Geometry.t) =
+  let issues = ref [] in
+  List.iter
+    (fun (d : Defect.t) ->
+      if not (Defect.valid_path ~dtype:d.dtype ~closed:d.closed d.path) then
+        issues := Geometry.Malformed_strand d.id :: !issues)
+    g.Geometry.defects;
+  let occupancy : (Vec3.t, int) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun (d : Defect.t) ->
+      List.iter
+        (fun v ->
+          match Hashtbl.find_opt occupancy v with
+          | Some s when s <> d.structure ->
+              issues :=
+                Geometry.Same_type_structure_overlap
+                  { a = s; b = d.structure; at = v }
+                :: !issues
+          | Some _ -> ()
+          | None -> Hashtbl.add occupancy v d.structure)
+        d.path)
+    g.Geometry.defects;
+  let rec box_pairs i = function
+    | [] -> ()
+    | (b : Geometry.distill_box) :: rest ->
+        List.iteri
+          (fun j (b' : Geometry.distill_box) ->
+            if Box3.overlap b.Geometry.b_box b'.Geometry.b_box then
+              issues := Geometry.Box_overlap (i, i + j + 1) :: !issues)
+          rest;
+        box_pairs (i + 1) rest
+  in
+  box_pairs 0 g.Geometry.boxes;
+  List.rev !issues
+
+(* The per-strand table [Defect.cells] keeps for longer strands. *)
+let reference_cells (d : Defect.t) =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun v ->
+      let c = Defect.cell_of_vertex v in
+      if Hashtbl.mem seen c then None
+      else begin
+        Hashtbl.add seen c ();
+        Some c
+      end)
+    d.path
+
+(* Random strand sets around the origin, negative coordinates included:
+   open walks of 1 to 6 vertices, closed rectangles, malformed strands
+   built without [Defect.make] (off-sublattice vertices, one- and
+   two-vertex strands whose vertices share a cell), and one-vertex
+   strands that repeat an earlier strand's vertex under another
+   structure. *)
+let gen_geometry =
+  let open QCheck.Gen in
+  let coord = int_range (-5) 5 in
+  let vertex parity =
+    let* x = coord and* y = coord and* z = coord in
+    return (vec ((2 * x) + parity) ((2 * y) + parity) ((2 * z) + parity))
+  in
+  let walk parity =
+    let* start = vertex parity in
+    let* steps = list_size (int_range 0 5) (pair (int_range 0 2) bool) in
+    let step (v : Vec3.t) (axis, up) =
+      let d = if up then 2 else -2 in
+      match axis with
+      | 0 -> vec (v.x + d) v.y v.z
+      | 1 -> vec v.x (v.y + d) v.z
+      | _ -> vec v.x v.y (v.z + d)
+    in
+    let rev =
+      List.fold_left (fun acc s -> step (List.hd acc) s :: acc) [ start ] steps
+    in
+    return (List.rev rev, false)
+  in
+  let loop parity =
+    let* i = coord and* j = coord and* k = coord and* l = coord in
+    let* at = coord and* plane = oneofl [ `Xy; `Xz; `Yz ] in
+    let d n = (2 * n) + parity in
+    if i = j || k = l then walk parity
+    else
+      let r =
+        Defect.rectangle ~id:0 ~structure:0
+          ~dtype:(if parity = 0 then Defect.Primal else Defect.Dual)
+          ~plane ~at:(d at) (d i, d k) (d j, d l)
+      in
+      return (r.Defect.path, true)
+  in
+  let malformed =
+    let raw = map3 vec (int_range (-9) 9) (int_range (-9) 9) (int_range (-9) 9) in
+    (* two vertices of one cell: its low corner and another *)
+    let one_cell =
+      let* c = vertex 0 and* b = map3 vec (int_range 0 1) (int_range 0 1) (int_range 0 1) in
+      return [ c; Vec3.add c b ]
+    in
+    let* path = oneof [ list_size (int_range 1 3) raw; one_cell ]
+    and* closed = bool in
+    return (path, closed)
+  in
+  let strand =
+    let* dual = bool and* structure = int_range 0 3 in
+    let parity = if dual then 1 else 0 in
+    let* path, closed =
+      frequency [ (6, walk parity); (2, loop parity); (1, malformed) ]
+    in
+    return (dual, structure, path, closed)
+  in
+  let* strands = list_size (int_range 0 10) strand in
+  let* planted = list_size (int_range 0 3) (pair nat nat) in
+  let planted =
+    match strands with
+    | [] -> []
+    | _ ->
+        List.map
+          (fun (i, j) ->
+            let dual, structure, path, _ =
+              List.nth strands (i mod List.length strands)
+            in
+            let v = List.nth path (j mod List.length path) in
+            (dual, (structure + 1) mod 4, [ v ], false))
+          planted
+  in
+  let strands =
+    List.mapi
+      (fun id (dual, structure, path, closed) ->
+        {
+          Defect.id;
+          structure;
+          dtype = (if dual then Defect.Dual else Defect.Primal);
+          path;
+          closed;
+        })
+      (strands @ planted)
+  in
+  let* boxes =
+    list_size (int_range 0 3)
+      (let* kind = oneofl [ Geometry.Y_box; Geometry.A_box ] in
+       let+ x = coord and+ y = coord and+ z = coord in
+       Geometry.box_at kind (vec x y z))
+  in
+  return (Geometry.make ~name:"random" ~defects:strands ~boxes)
+
+let arb_geometry =
+  let print (g : Geometry.t) =
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" Defect.pp) g.Geometry.defects
+      @ List.map
+          (fun (b : Geometry.distill_box) ->
+            Format.asprintf "box %a" Box3.pp b.Geometry.b_box)
+          g.Geometry.boxes)
+  in
+  QCheck.make ~print gen_geometry
+
+let prop_check_matches_reference =
+  QCheck.Test.make ~name:"Geometry.check matches the table reference" ~count:500
+    arb_geometry (fun g -> Geometry.check g = reference_check g)
+
+let prop_bbox_matches_cells =
+  QCheck.Test.make ~name:"Geometry.bbox bounds Geometry.cells" ~count:500
+    arb_geometry (fun g ->
+      Geometry.bbox g
+      = match Geometry.cells g with [] -> None | cs -> Some (Box3.bounding cs))
+
+let prop_cells_match_reference =
+  QCheck.Test.make ~name:"Defect.cells matches the table reference" ~count:500
+    arb_geometry (fun g ->
+      List.for_all
+        (fun d -> Defect.cells d = reference_cells d)
+        g.Geometry.defects)
+
+(* The generator reaches what the properties are about. *)
+let test_generator_coverage () =
+  let rand = Random.State.make [| 7 |] in
+  let gs = QCheck.Gen.generate ~rand ~n:500 gen_geometry in
+  let count p = List.length (List.filter p gs) in
+  let has_issue p g = List.exists p (Geometry.check g) in
+  let collision = function
+    | Geometry.Same_type_structure_overlap _ -> true
+    | _ -> false
+  in
+  let strands n (g : Geometry.t) =
+    List.exists (fun (d : Defect.t) -> List.length d.path = n) g.Geometry.defects
+  in
+  List.iter
+    (fun (what, n) -> check Alcotest.bool (Printf.sprintf "%s: %d sets" what n) true (n >= 25))
+    [
+      ("collisions", count (has_issue collision));
+      ("malformed strands", count (has_issue (function Geometry.Malformed_strand _ -> true | _ -> false)));
+      ("closed loops", count (fun g -> List.exists (fun (d : Defect.t) -> d.closed && Defect.valid_path ~dtype:d.dtype ~closed:true d.path) g.Geometry.defects));
+      ("negative coordinates", count (fun g -> List.exists (fun (d : Defect.t) -> List.exists (fun (v : Vec3.t) -> v.x < 0) d.path) g.Geometry.defects));
+      ("one-vertex strands", count (strands 1));
+      ("two-vertex strands", count (strands 2));
+      ( "two-vertex strands in one cell",
+        count (fun g ->
+            List.exists
+              (fun (d : Defect.t) ->
+                List.length d.path = 2 && List.length (reference_cells d) = 1)
+              g.Geometry.defects) );
+      ("longer strands", count (fun g -> List.exists (fun (d : Defect.t) -> List.length d.path > 2) g.Geometry.defects));
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Canonical geometry                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -345,6 +553,11 @@ let suites =
         Alcotest.test_case "volume" `Quick test_geometry_volume;
         Alcotest.test_case "distillation boxes" `Quick test_geometry_boxes;
         Alcotest.test_case "structures" `Quick test_geometry_structures;
+        Alcotest.test_case "random strand sets cover the cases" `Quick
+          test_generator_coverage;
+        qtest prop_check_matches_reference;
+        qtest prop_bbox_matches_cells;
+        qtest prop_cells_match_reference;
       ] );
     ( "geom.braiding",
       [

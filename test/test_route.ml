@@ -300,6 +300,37 @@ let test_grid_mem_tracks_touched_tiles () =
   check Alcotest.bool "directory covers the box" true
     (m.Grid.mem_tiles_total * Grid.tile_cells >= m.Grid.mem_cells)
 
+(* A tile allocates its usage and history arrays on first write, so
+   tiles that hold only obstacles and pins take fewer [Grid.mem] words
+   than one cost array each.  The baseline grid holds one obstacle tile,
+   so both sides of a difference reach the empty array that unwritten
+   tiles share. *)
+let test_grid_costs_allocated_on_write () =
+  let box = Box3.make (vec 0 0 0) (vec 63 63 7) in
+  let g = Grid.create box and g0 = Grid.create box in
+  Grid.set_obstacle g0 (vec 0 0 0);
+  let grown () = (Grid.mem g).Grid.mem_words - (Grid.mem g0).Grid.mem_words in
+  (* obstacles and shared pins on 16 tiles: module cores and the
+     verifier's rebuilt grid hold nothing else *)
+  for i = 0 to 7 do
+    Grid.set_obstacle_box g (Box3.make (vec (8 * i) 0 0) (vec ((8 * i) + 2) 2 2));
+    Grid.set_shared g (vec ((8 * i) + 4) 9 1)
+  done;
+  let tiles = (Grid.mem g).Grid.mem_tiles - 1 in
+  check Alcotest.int "15 more tiles than the baseline" 15 tiles;
+  let words = grown () in
+  check Alcotest.bool
+    (Printf.sprintf "%d words for %d tiles: no cost arrays" words tiles)
+    true
+    (words < tiles * Grid.tile_cells);
+  (* a usage write allocates that tile's usage array, a history write
+     its history array, an overused cell one table entry *)
+  Grid.add_usage g (vec 20 20 5) 2;
+  Grid.add_history g (vec 21 20 5) 1;
+  let words' = grown () in
+  check Alcotest.bool "two cost arrays and one new tile" true
+    (words' - words > 2 * Grid.tile_cells && words' - words < 3 * Grid.tile_cells)
+
 (* The fused per-neighbour read of the A* kernels: -1 for a blocked
    cell, else the entry cost at usage + dusage. *)
 let test_grid_probe () =
@@ -543,6 +574,31 @@ let test_astar_allocation_per_path_cell () =
        cells words_per_path_cell_bound)
     true
     (per <= words_per_path_cell_bound)
+
+(* A search cell is two words of scratch.  One search over an R-cell
+   region on a fresh scratch sizes the cells to R exactly; the short
+   path keeps the open queue small beside them. *)
+let scratch_words_per_cell_bound = 2.5
+
+let test_astar_scratch_words_per_cell () =
+  let g = Grid.create (Box3.make (vec 0 0 0) (vec 47 47 7)) in
+  let region = Grid.box g in
+  let scratch = Astar.create_scratch () in
+  (match
+     Astar.search ~scratch g ~region ~penalty:1 ~sources:[ vec 20 20 2 ]
+       ~target:(vec 26 23 4)
+   with
+  | Some _ -> ()
+  | None -> Alcotest.fail "expected a path");
+  let per =
+    float_of_int (Obj.reachable_words (Obj.repr scratch))
+    /. float_of_int (Box3.volume region)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f scratch words per region cell <= %.1f" per
+       scratch_words_per_cell_bound)
+    true
+    (per <= scratch_words_per_cell_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Pathfinder                                                          *)
@@ -1226,6 +1282,8 @@ let suites =
         Alcotest.test_case "probe" `Quick test_grid_probe;
         Alcotest.test_case "mem tracks touched tiles" `Quick
           test_grid_mem_tracks_touched_tiles;
+        Alcotest.test_case "cost arrays allocated on first write" `Quick
+          test_grid_costs_allocated_on_write;
         qtest prop_grid_overused_incremental;
         qtest prop_grid_sparse_vs_dense_oracle;
         qtest prop_grid_generation_tracking;
@@ -1243,6 +1301,8 @@ let suites =
         qtest prop_astar_optimal_vs_dijkstra;
         Alcotest.test_case "allocation per path cell" `Quick
           test_astar_allocation_per_path_cell;
+        Alcotest.test_case "scratch words per region cell" `Quick
+          test_astar_scratch_words_per_cell;
       ] );
     ( "route.pathfinder",
       [
