@@ -200,11 +200,12 @@ let corridor_cache_stress () =
   let jobs_invariant = on1 = on4 in
   let accounted = s.Counters.coarse_searches = s.Counters.cache_misses in
   (* Steady-state scratch: the calling domain's A* workspace (every
-     search at jobs=1 runs there) persists in domain-local storage and
-     is warmed by the runs above (the full grid-box escalation step
-     sizes it to the largest region), so a repeat run — widening
-     ladder included — must not reallocate any
-     score array. *)
+     search at jobs=1 runs there) persists in domain-local storage
+     across back-to-back [route_all] calls (only a pipeline run drops
+     it, when its routing stage ends) and is warmed by the runs above
+     (the full grid-box escalation step sizes it to the largest
+     region), so a repeat run — widening ladder included — must not
+     reallocate any score array. *)
   Counters.reset ();
   let _, warm = route_sparse ~corridor_cells:0 ~jobs:(Some 1) () in
   let grows = (Counters.stats ()).Counters.scratch_grows in

@@ -170,12 +170,12 @@ let timings_arg =
      moves attempted and accepted, accept ratio, moves that ran the full \
      B*-tree repack), the router's counters and a memory line (the \
      routing grid's allocated and total tiles and its heap words, and \
-     the process's peak resident set size, n/a where /proc is missing) \
-     after the run and its check."
+     the process's peak resident set size after the compile and again \
+     after its check, n/a where /proc is missing)."
   in
   Arg.(value & flag & info [ "timings" ] ~doc)
 
-let print_timings (r : Pipeline.t) =
+let print_timings ~compile_rss (r : Pipeline.t) =
   Format.printf "stage timings:@.";
   List.iter
     (fun (name, dt) -> Format.printf "  %-10s %8.3fs@." name dt)
@@ -203,12 +203,11 @@ let print_timings (r : Pipeline.t) =
     rc.Tqec_route.Counters.scratch_grows rc.Tqec_route.Counters.astar_pops
     rc.Tqec_route.Counters.astar_pushes;
   let gm = r.Pipeline.grid_mem in
-  Format.printf "memory: grid tiles=%d/%d words=%d peak-rss=%s@."
+  let kb = function Some kb -> Printf.sprintf "%dkB" kb | None -> "n/a" in
+  Format.printf "memory: grid tiles=%d/%d words=%d peak-rss compile=%s check=%s@."
     gm.Tqec_route.Grid.mem_tiles gm.Tqec_route.Grid.mem_tiles_total
-    gm.Tqec_route.Grid.mem_words
-    (match Tqec_util.Stats.peak_rss_kb () with
-    | Some kb -> Printf.sprintf "%dkB" kb
-    | None -> "n/a")
+    gm.Tqec_route.Grid.mem_words (kb compile_rss)
+    (kb (Tqec_util.Stats.peak_rss_kb ()))
 
 let porcelain_arg =
   let doc =
@@ -236,6 +235,9 @@ let compress_cmd =
       | exception Pipeline.Stage_failure { stage; message } ->
           die "%s stage failed: %s" stage message
     in
+    (* the peak so far is the compile's; the memory line reads it again
+       after the check *)
+    let compile_rss = Tqec_util.Stats.peak_rss_kb () in
     if porcelain then print_endline (Pipeline.summary r)
     else begin
       let p = r.Pipeline.placement in
@@ -250,9 +252,8 @@ let compress_cmd =
         r.Pipeline.stages.Pipeline.st_dual_bridges
         r.Pipeline.routing.Tqec_route.Pathfinder.success r.Pipeline.elapsed
     end;
-    (* checked first, so the memory line's peak covers the check too *)
     let issues = Tqec_verify.Violation.to_strings (Pipeline.verify r) in
-    if timings then print_timings r;
+    if timings then print_timings ~compile_rss r;
     match issues with
     | [] -> ()
     | issues ->

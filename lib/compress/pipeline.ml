@@ -325,7 +325,11 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
             corridor_cells = cells; corridor_cache = config.corridor_cache;
             debug = config.debug }
     in
-    Pathfinder.route_all grid route_config nets
+    (* the A* scratch is sized by the largest search: nothing after
+       this stage searches, so neither the check nor a daemon's idle
+       time holds it *)
+    Fun.protect ~finally:Pathfinder.release_scratch (fun () ->
+        Pathfinder.route_all grid route_config nets)
   in
   mark "routing";
   (* recorded before the grid is dropped: how much of the substrate
@@ -403,16 +407,8 @@ let rec run_icm ?(config = default_config) ?on_stage icm =
   r
 
 and verify ?stages (r : t) =
-  (* emission is the costliest artifact; only the geometry stage reads it *)
-  let geometry =
-    let stages = Tqec_verify.Check.selected ?stages () in
-    if List.mem Tqec_verify.Violation.Geometry stages then
-      Some
-        (Emit_core.geometry ~name:r.icm.Icm.name ~graph:r.graph
-           ~flipping:r.flipping ~placement:r.placement ~routing:r.routing)
-    else None
-  in
-  Tqec_verify.Check.run ?stages
+  let module V = Tqec_verify.Violation in
+  let artifacts a_geometry =
     {
       Tqec_verify.Check.a_icm = r.icm;
       a_graph = r.graph;
@@ -423,7 +419,30 @@ and verify ?stages (r : t) =
       a_placement = r.placement;
       a_routing = r.routing;
       a_volume = r.volume;
-      a_geometry = geometry;
+      a_geometry;
+    }
+  in
+  (* Emission is the costliest artifact and only the geometry stage, the
+     last, reads it: the other stages run first, so none of them runs
+     on top of the emitted geometry. *)
+  let selected = Tqec_verify.Check.selected ?stages () in
+  let others = List.filter (fun st -> st <> V.Geometry) selected in
+  let report =
+    if others = [] then { V.checked = []; violations = [] }
+    else Tqec_verify.Check.run ~stages:others (artifacts None)
+  in
+  if not (List.mem V.Geometry selected) then report
+  else
+    let geometry =
+      Emit_core.geometry ~name:r.icm.Icm.name ~graph:r.graph
+        ~flipping:r.flipping ~placement:r.placement ~routing:r.routing
+    in
+    let g =
+      Tqec_verify.Check.run ~stages:[ V.Geometry ] (artifacts (Some geometry))
+    in
+    {
+      V.checked = report.V.checked @ g.V.checked;
+      violations = report.V.violations @ g.V.violations;
     }
 
 let run ?(config = default_config) ?on_stage circuit =

@@ -149,6 +149,7 @@ val fingerprint : t -> string
 (** [verify ?stages r] re-derives and cross-checks the invariants of
     every pipeline boundary (default: all stages) via {!Tqec_verify};
     see {!Tqec_verify.Check.run}.  The geometry is emitted only when the
-    geometry stage is among those checked. *)
+    geometry stage is among those checked, and only after every other
+    selected stage has been checked. *)
 val verify :
   ?stages:Tqec_verify.Violation.stage list -> t -> Tqec_verify.Violation.report

@@ -19,7 +19,11 @@
     sequential searches (arrays grow to the largest region seen and are
     invalidated by generation stamps, never cleared); distinct concurrent
     searchers must each own their scratch — it contains the open queue and
-    the score arrays, so sharing one across domains is a data race.
+    the score arrays, so sharing one across domains is a data race.  A
+    scratch never shrinks, so it holds the largest region it has searched
+    until it is dropped: the router keeps one per domain across its
+    negotiation iterations, and the pipeline drops the calling domain's
+    when its routing stage ends ({!Pathfinder.release_scratch}).
 
     A search cell takes two words, in one int array shared by the flat,
     coarse and fine passes: a meta word packing the search generation,

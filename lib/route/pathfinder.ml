@@ -1,6 +1,7 @@
 module Vec3 = Tqec_util.Vec3
 module Box3 = Tqec_util.Box3
 module Pool = Tqec_util.Pool
+module Cell_index = Tqec_util.Cell_index
 
 type net = { net_id : int; pins : Vec3.t list }
 
@@ -64,7 +65,9 @@ let dedup_cells cells =
    concurrently from a batch's [Pool.map], and the scratch holds the
    open queue and score arrays.  A helper domain lives for one map, so
    its scratch starts empty and grows on each batch (counted as
-   [scratch_grows]); the caller's persists across the run. *)
+   [scratch_grows]).  The calling domain's persists across the
+   negotiation iterations of a [route_all] and across back-to-back
+   calls, until [release_scratch] drops it. *)
 let scratch_key = Domain.DLS.new_key Astar.create_scratch
 
 (* Beside it, each domain's corridor-cache key scratch: the source tiles
@@ -72,6 +75,10 @@ let scratch_key = Domain.DLS.new_key Astar.create_scratch
    it, and [Hashtbl.clear] keeps its grown bucket table. *)
 let key_seen_key : (int, unit) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let release_scratch () =
+  Domain.DLS.set scratch_key (Astar.create_scratch ());
+  Domain.DLS.set key_seen_key (Hashtbl.create 64)
 
 (* ------------------------------------------------------------------ *)
 (* Corridor cache.                                                     *)
@@ -367,32 +374,31 @@ let route_net ?(avoid_used = false) ?(exclude = []) ?(corridor_cells = max_int)
              search, so it is skipped: when the margin-inflated corridor
              already covers the grid, the failed search is final. *)
           let r1 = clip (Box3.inflate margin corridor) in
-          (* Middle widening step: windows small enough for the flat
-             search keep the historic uniform schedule (bit-identical
-             routes on paper-suite instances); hierarchical windows
-             grow toward free capacity instead, falling back to the
-             uniform step when every neighboring tile slab is full.
-             The full grid box remains the final fallback either
-             way. *)
-          let r2 =
-            if Box3.volume r1 > corridor_cells then
-              match guided_widen grid ~margin r1 with
-              | Some r -> clip r
-              | None -> clip (Box3.inflate (4 * margin) corridor)
-            else clip (Box3.inflate (4 * margin) corridor)
+          (* Middle widening step, built only once [r1] has failed:
+             windows small enough for the flat search keep the historic
+             uniform schedule (bit-identical routes on paper-suite
+             instances); hierarchical windows grow toward free capacity
+             instead, falling back to the uniform step when every
+             neighboring tile slab is full.  The full grid box remains
+             the final fallback either way. *)
+          let found =
+            match try_region r1 with
+            | Some path -> Some path
+            | None -> (
+                let r2 =
+                  if Box3.volume r1 > corridor_cells then
+                    match guided_widen grid ~margin r1 with
+                    | Some r -> clip r
+                    | None -> clip (Box3.inflate (4 * margin) corridor)
+                  else clip (Box3.inflate (4 * margin) corridor)
+                in
+                match if Box3.equal r2 r1 then None else try_region r2 with
+                | Some path -> Some path
+                | None ->
+                    if Box3.equal grid_box r2 then None
+                    else try_region grid_box)
           in
-          let regions = [ r1; r2; grid_box ] in
-          let rec attempt prev = function
-            | [] -> None
-            | r :: rest ->
-                if (match prev with Some p -> Box3.equal p r | None -> false)
-                then attempt prev rest
-                else (
-                  match try_region r with
-                  | Some path -> Some path
-                  | None -> attempt (Some r) rest)
-          in
-          match attempt None regions with
+          match found with
           | Some path ->
               add_cells path;
               true
@@ -690,21 +696,16 @@ let route_all grid config nets =
     unrouted = List.rev !unrouted;
   }
 
+(* Every check works on sorted arrays of the routes' own cells
+   ({!Tqec_util.Cell_index}): a repeated cell is a listing that is not
+   its cell's first, pins and BFS neighbours are binary searches on
+   coordinates, and the overuse count is one sort of every routed
+   cell. *)
 let validate grid result nets =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let by_id = Hashtbl.create 16 in
   List.iter (fun r -> Hashtbl.replace by_id r.r_net r.r_cells) result.routes;
-  (* per-cell usage over all routed nets: the capacity oracle *)
-  let usage = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun c ->
-          Hashtbl.replace usage c
-            (1 + Option.value ~default:0 (Hashtbl.find_opt usage c)))
-        r.r_cells)
-    result.routes;
   List.iter
     (fun n ->
       match Hashtbl.find_opt by_id n.net_id with
@@ -712,67 +713,101 @@ let validate grid result nets =
           if not (List.mem n.net_id result.unrouted) then
             err "net %d missing from routes" n.net_id
       | Some cells ->
-          let pins = dedup_cells n.pins in
-          let pin_set = Hashtbl.create 8 in
-          List.iter (fun p -> Hashtbl.replace pin_set p ()) pins;
+          let pins = Cell_index.make (Array.of_list n.pins) in
+          let is_pin (c : Vec3.t) = Cell_index.find pins c.x c.y c.z >= 0 in
+          let cells = Array.of_list cells in
+          let idx = Cell_index.make cells in
+          let n_cells = Array.length cells in
+          let repeat = Cell_index.repeats idx in
+          let distinct =
+            Bytes.fold_left (fun n r -> if r = '\000' then n + 1 else n) 0 repeat
+          in
           (* geometric legality against the grid: every cell inside the
              routing box, and no obstacle crossings except at the net's
              own pins (the only cells A* exempts) *)
-          let cell_set = Hashtbl.create 64 in
-          List.iter
-            (fun c ->
-              if Hashtbl.mem cell_set c then
-                err "net %d lists cell %s twice" n.net_id (Vec3.to_string c)
-              else Hashtbl.replace cell_set c ();
+          Array.iteri
+            (fun i c ->
+              if Bytes.get repeat i <> '\000' then
+                err "net %d lists cell %s twice" n.net_id (Vec3.to_string c);
               if not (Grid.in_bounds grid c) then
                 err "net %d leaves the routing grid at %s" n.net_id
                   (Vec3.to_string c)
-              else if Grid.is_obstacle grid c && not (Hashtbl.mem pin_set c)
-              then
+              else if Grid.is_obstacle grid c && not (is_pin c) then
                 err "net %d passes through obstacle %s" n.net_id
                   (Vec3.to_string c))
             cells;
-          List.iter
-            (fun pin ->
-              if not (Hashtbl.mem cell_set pin) then
+          (* the pins in listing order, each once *)
+          let pin_repeat = Cell_index.repeats pins in
+          List.iteri
+            (fun i (pin : Vec3.t) ->
+              if
+                Bytes.get pin_repeat i = '\000'
+                && Cell_index.find idx pin.x pin.y pin.z < 0
+              then
                 err "net %d does not reach pin %s" n.net_id (Vec3.to_string pin))
-            pins;
-          (* connectivity by BFS over the cell set *)
-          (match cells with
-          | [] -> ()
-          | start :: _ ->
-              let visited = Hashtbl.create 64 in
-              let queue = Queue.create () in
-              Queue.add start queue;
-              Hashtbl.replace visited start ();
-              while not (Queue.is_empty queue) do
-                let p = Queue.pop queue in
-                List.iter
-                  (fun q ->
-                    if Hashtbl.mem cell_set q && not (Hashtbl.mem visited q)
-                    then begin
-                      Hashtbl.replace visited q ();
-                      Queue.add q queue
-                    end)
-                  (Vec3.axis_neighbors p)
-              done;
-              if Hashtbl.length visited <> Hashtbl.length cell_set then
-                err "net %d cells disconnected" n.net_id))
+            n.pins;
+          (* connectivity by BFS over the distinct cells, by rank *)
+          if n_cells > 0 then begin
+            let visited = Bytes.make n_cells '\000' in
+            let queue = Array.make distinct 0 in
+            let tail = ref 0 in
+            let visit k =
+              if k >= 0 && Bytes.get visited k = '\000' then begin
+                Bytes.set visited k '\001';
+                queue.(!tail) <- k;
+                incr tail
+              end
+            in
+            let c0 = cells.(0) in
+            visit (Cell_index.find idx c0.x c0.y c0.z);
+            let head = ref 0 in
+            while !head < !tail do
+              let c = Cell_index.cell idx queue.(!head) in
+              incr head;
+              let x = c.x and y = c.y and z = c.z in
+              visit (Cell_index.find idx (x + 1) y z);
+              visit (Cell_index.find idx (x - 1) y z);
+              visit (Cell_index.find idx x (y + 1) z);
+              visit (Cell_index.find idx x (y - 1) z);
+              visit (Cell_index.find idx x y (z + 1));
+              visit (Cell_index.find idx x y (z - 1))
+            done;
+            if !tail <> distinct then err "net %d cells disconnected" n.net_id
+          end)
     nets;
   (* capacity and overuse accounting: non-shared cells carry at most
      [Grid.capacity] strands, and the result must own up to exactly the
-     overuse its routes imply *)
-  let over =
-    (* hash-order: the overuse list is sorted before reporting *)
-    Hashtbl.fold
-      (fun c u acc ->
-        if u > Grid.capacity && Grid.in_bounds grid c
-           && not (Grid.is_shared grid c)
-        then (c, u) :: acc
-        else acc)
-      usage []
-    |> List.sort compare
+     overuse its routes imply.  One sort of every routed cell puts each
+     cell's listings together, ascending, so a run's length is the
+     cell's usage. *)
+  let all =
+    Array.make
+      (List.fold_left (fun a r -> a + List.length r.r_cells) 0 result.routes)
+      Vec3.zero
   in
+  let k = ref 0 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun c ->
+          all.(!k) <- c;
+          incr k)
+        r.r_cells)
+    result.routes;
+  Array.sort Vec3.compare all;
+  let over = ref [] and i = ref 0 in
+  while !i < Array.length all do
+    let c = all.(!i) in
+    let j = ref (!i + 1) in
+    while !j < Array.length all && Vec3.equal all.(!j) c do
+      incr j
+    done;
+    let u = !j - !i in
+    if u > Grid.capacity && Grid.in_bounds grid c && not (Grid.is_shared grid c)
+    then over := (c, u) :: !over;
+    i := !j
+  done;
+  let over = List.rev !over in
   if result.success then
     List.iter
       (fun (c, u) ->

@@ -83,6 +83,15 @@ type result = {
     below the floor of 1 that {!Astar} relies on. *)
 val route_all : Grid.t -> config -> net list -> result
 
+(** [release_scratch ()] drops the calling domain's search workspace:
+    the A* scratch, sized by the largest region the domain has searched,
+    and the corridor-cache key table.  [route_all] keeps both across its
+    negotiation iterations and across back-to-back calls on one domain;
+    a caller that is done routing releases them, and the next search on
+    the domain starts from an empty scratch (counted in
+    {!Counters.stats}' [scratch_grows]). *)
+val release_scratch : unit -> unit
+
 (** [validate grid result nets] checks routing legality against the grid:
     every routed net's cell set is connected, touches all its pins, stays
     inside the routing box, crosses obstacles only at the net's own pins,

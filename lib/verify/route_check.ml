@@ -10,6 +10,7 @@ module Geometry = Tqec_geom.Geometry
 module Defect = Tqec_geom.Defect
 module Vec3 = Tqec_util.Vec3
 module Box3 = Tqec_util.Box3
+module Cell_index = Tqec_util.Cell_index
 module V = Violation
 
 (* ------------------------------------------------------------------ *)
@@ -210,6 +211,119 @@ let diff_sorted expected actual =
   in
   go [] [] (expected, actual)
 
+(* Dual structure ids follow the primal ones in route order; a cell
+   visited by several routes (a shared pin) is emitted for the first
+   visitor only, so the comparison replays that ownership rule.  The
+   routed cells are sorted once by (cell, listing); the strands are then
+   walked once, in place, each vertex's cell looked up by its
+   coordinates, so neither side is grouped or copied per structure. *)
+let dual_cells ~first_dual (routes : Pathfinder.routed list) (geom : Geometry.t) =
+  let routes = Array.of_list routes in
+  let n_routes = Array.length routes in
+  (* every routed cell, route after route: route [i] lists the
+     positions [start.(i)] to [start.(i + 1) - 1] *)
+  let start = Array.make (n_routes + 1) 0 in
+  Array.iteri
+    (fun i (r : Pathfinder.routed) ->
+      start.(i + 1) <- start.(i) + List.length r.Pathfinder.r_cells)
+    routes;
+  let n = start.(n_routes) in
+  let cells = Array.make n Vec3.zero in
+  Array.iteri
+    (fun i (r : Pathfinder.routed) ->
+      List.iteri (fun j c -> cells.(start.(i) + j) <- c) r.Pathfinder.r_cells)
+    routes;
+  let idx = Cell_index.make cells in
+  let route_of p =
+    (* the last route starting at or before [p] *)
+    let lo = ref 0 and hi = ref n_routes in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) lsr 1 in
+      if start.(mid) <= p then lo := mid else hi := mid
+    done;
+    !lo
+  in
+  (* Ownership.  A cell's listings lie together, by position, so route
+     by route: the first is the owner's, and a route keeps the cell
+     when its net is the owner's.  The first listing of a kept cell in
+     its route stands for the pair: [rep] marks it 1, and 2 once the
+     route's structure has emitted the cell. *)
+  let rep = Bytes.make n '\000' in
+  let expected = Array.make n_routes 0 in
+  let owner = ref 0 and last = ref (-1) in
+  for k = 0 to n - 1 do
+    let p = Cell_index.position idx k in
+    let i = route_of p in
+    if Cell_index.first idx k then begin
+      owner := routes.(i).Pathfinder.r_net;
+      last := -1
+    end;
+    if routes.(i).Pathfinder.r_net = !owner && i <> !last then begin
+      Bytes.set rep p '\001';
+      expected.(i) <- expected.(i) + 1;
+      last := i
+    end
+  done;
+  (* the standing listing of cell (x, y, z) in route [i], or -1 *)
+  let rep_in i x y z =
+    let k = ref (Cell_index.find idx x y z) and found = ref (-1) in
+    while
+      !found < 0 && !k >= 0 && !k < n
+      &&
+      let c = Cell_index.cell idx !k in
+      c.x = x && c.y = y && c.z = z
+    do
+      let p = Cell_index.position idx !k in
+      if Bytes.get rep p <> '\000' && route_of p = i then found := p else incr k
+    done;
+    !found
+  in
+  let matched = Array.make n_routes 0 in
+  (* emitted cells a route does not keep: only a faulty emission fills
+     this *)
+  let extras = Hashtbl.create 16 and structures = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Defect.t) ->
+      if d.dtype = Defect.Dual then begin
+        Hashtbl.replace structures d.structure ();
+        let i = d.structure - first_dual in
+        if i >= 0 && i < n_routes then
+          (* a vertex's cell is its coordinates halved, rounding down *)
+          List.iter
+            (fun (v : Vec3.t) ->
+              let x = v.x asr 1 and y = v.y asr 1 and z = v.z asr 1 in
+              let p = rep_in i x y z in
+              if p < 0 then Hashtbl.replace extras (i, Vec3.make x y z) ()
+              else if Bytes.get rep p = '\001' then begin
+                Bytes.set rep p '\002';
+                matched.(i) <- matched.(i) + 1
+              end)
+            d.path
+      end)
+    geom.Geometry.defects;
+  let n_extra = Array.make n_routes 0 in
+  (* hash-order: per-route counts commute *)
+  Hashtbl.iter (fun (i, _) () -> n_extra.(i) <- n_extra.(i) + 1) extras;
+  let vs = ref [] in
+  let add v = vs := v :: !vs in
+  Array.iteri
+    (fun i (routed : Pathfinder.routed) ->
+      if n_extra.(i) > 0 || matched.(i) <> expected.(i) then
+        add
+          (V.makef V.Geometry ~code:"dual-cells"
+             "dual structure %d emits %d cell(s) but net %d's route claims \
+              %d: emission and routing disagree"
+             (first_dual + i)
+             (matched.(i) + n_extra.(i))
+             routed.Pathfinder.r_net expected.(i)))
+    routes;
+  let n_structures = Hashtbl.length structures in
+  if n_structures > n_routes then
+    add
+      (V.makef V.Geometry ~code:"dual-cells"
+         "%d dual structure(s) emitted for %d route(s)" n_structures n_routes);
+  List.rev !vs
+
 let geometry_check (g : Pd.t) (placement : Placer.t)
     (routing : Pathfinder.result) (geom : Geometry.t) =
   let vs = ref [] in
@@ -252,50 +366,10 @@ let geometry_check (g : Pd.t) (placement : Placer.t)
                  (cell_str c))
              extra))
   end;
-  (* dual strands match the claimed routes cell-for-cell.  Dual structure
-     ids follow the primal ones in route order; a cell visited by several
-     routes (a shared pin) is emitted for the first visitor only, so the
-     comparison replays that ownership rule. *)
-  let first_dual = List.length primal_structures in
-  let n_routes = List.length routing.Pathfinder.routes in
-  let dual_structures = Geometry.structures geom Defect.Dual in
-  let dual_by_id = Hashtbl.create 256 in
-  List.iter (fun (sid, strands) -> Hashtbl.replace dual_by_id sid strands)
-    dual_structures;
-  let owner = Hashtbl.create 256 in
-  List.iteri
-    (fun i (routed : Pathfinder.routed) ->
-      let expected =
-        sorted_cells
-          (List.filter
-             (fun c ->
-               match Hashtbl.find_opt owner c with
-               | Some o -> o = routed.Pathfinder.r_net
-               | None ->
-                   Hashtbl.replace owner c routed.Pathfinder.r_net;
-                   true)
-             routed.Pathfinder.r_cells)
-      in
-      let sid = first_dual + i in
-      let actual =
-        match Hashtbl.find_opt dual_by_id sid with
-        | Some strands -> structure_cells strands
-        | None -> []
-      in
-      if expected <> actual then
-        add
-          (V.makef V.Geometry ~code:"dual-cells"
-             "dual structure %d emits %d cell(s) but net %d's route claims \
-              %d: emission and routing disagree"
-             sid (List.length actual) routed.Pathfinder.r_net
-             (List.length expected)))
-    routing.Pathfinder.routes;
-  if List.length dual_structures > n_routes then
-    add
-      (V.makef V.Geometry ~code:"dual-cells"
-         "%d dual structure(s) emitted for %d route(s)"
-         (List.length dual_structures)
-         n_routes);
+  (* dual strands match the claimed routes cell-for-cell *)
+  List.iter add
+    (dual_cells ~first_dual:(List.length primal_structures)
+       routing.Pathfinder.routes geom);
   (* emitted bounding box never exceeds the reported volume *)
   (match Geometry.bbox geom with
   | Some b ->

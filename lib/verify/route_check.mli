@@ -25,6 +25,19 @@ val check :
   reported_volume:int ->
   Violation.t list
 
+(** [dual_cells ~first_dual routes geom] compares the emitted dual
+    structures with the routes: structure [first_dual + i] must emit
+    exactly the cells of [routes]'s [i]th route that the route owns (a
+    cell belongs to the first route listing it, and a later route keeps
+    it only under the same net), and no more dual structures than routes
+    may exist.  The dual half of {!geometry_check}, which passes the
+    number of primal structures as [first_dual] (exposed for tests). *)
+val dual_cells :
+  first_dual:int ->
+  Tqec_route.Pathfinder.routed list ->
+  Tqec_geom.Geometry.t ->
+  Violation.t list
+
 (** [geometry_check g placement routing geom] proves the emitted strands
     agree with the flow: primal strands cover exactly the placed module
     core cells, each dual structure's cells equal its route's claimed

@@ -795,6 +795,350 @@ let test_validate_accounting_must_match () =
     (Pathfinder.validate g { r with Pathfinder.overused_after = 2 } nets)
 
 (* ------------------------------------------------------------------ *)
+(* Differential test of the sort-based validator                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The [Hashtbl] validator that the sort-based [Pathfinder.validate]
+   replaced, kept as the oracle: same errors, same order. *)
+let reference_validate grid (result : Pathfinder.result) nets =
+  let errors = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+  let dedup cells =
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun c ->
+        if Hashtbl.mem seen c then false
+        else begin
+          Hashtbl.add seen c ();
+          true
+        end)
+      cells
+  in
+  let by_id = Hashtbl.create 16 in
+  List.iter
+    (fun (r : Pathfinder.routed) -> Hashtbl.replace by_id r.r_net r.r_cells)
+    result.routes;
+  let usage = Hashtbl.create 256 in
+  List.iter
+    (fun (r : Pathfinder.routed) ->
+      List.iter
+        (fun c ->
+          Hashtbl.replace usage c
+            (1 + Option.value ~default:0 (Hashtbl.find_opt usage c)))
+        r.r_cells)
+    result.routes;
+  List.iter
+    (fun (n : Pathfinder.net) ->
+      match Hashtbl.find_opt by_id n.net_id with
+      | None ->
+          if not (List.mem n.net_id result.unrouted) then
+            err "net %d missing from routes" n.net_id
+      | Some cells ->
+          let pins = dedup n.pins in
+          let pin_set = Hashtbl.create 8 in
+          List.iter (fun p -> Hashtbl.replace pin_set p ()) pins;
+          let cell_set = Hashtbl.create 64 in
+          List.iter
+            (fun c ->
+              if Hashtbl.mem cell_set c then
+                err "net %d lists cell %s twice" n.net_id (Vec3.to_string c)
+              else Hashtbl.replace cell_set c ();
+              if not (Grid.in_bounds grid c) then
+                err "net %d leaves the routing grid at %s" n.net_id
+                  (Vec3.to_string c)
+              else if Grid.is_obstacle grid c && not (Hashtbl.mem pin_set c)
+              then
+                err "net %d passes through obstacle %s" n.net_id
+                  (Vec3.to_string c))
+            cells;
+          List.iter
+            (fun pin ->
+              if not (Hashtbl.mem cell_set pin) then
+                err "net %d does not reach pin %s" n.net_id (Vec3.to_string pin))
+            pins;
+          (match cells with
+          | [] -> ()
+          | start :: _ ->
+              let visited = Hashtbl.create 64 in
+              let queue = Queue.create () in
+              Queue.add start queue;
+              Hashtbl.replace visited start ();
+              while not (Queue.is_empty queue) do
+                let p = Queue.pop queue in
+                List.iter
+                  (fun q ->
+                    if Hashtbl.mem cell_set q && not (Hashtbl.mem visited q)
+                    then begin
+                      Hashtbl.replace visited q ();
+                      Queue.add q queue
+                    end)
+                  (Vec3.axis_neighbors p)
+              done;
+              if Hashtbl.length visited <> Hashtbl.length cell_set then
+                err "net %d cells disconnected" n.net_id))
+    nets;
+  let over =
+    (* hash-order: the overuse list is sorted before reporting *)
+    Hashtbl.fold
+      (fun c u acc ->
+        if u > Grid.capacity && Grid.in_bounds grid c
+           && not (Grid.is_shared grid c)
+        then (c, u) :: acc
+        else acc)
+      usage []
+    |> List.sort compare
+  in
+  if result.success then
+    List.iter
+      (fun (c, u) ->
+        err "cell %s carries %d nets (capacity %d)" (Vec3.to_string c) u
+          Grid.capacity)
+      over;
+  if List.length over <> result.overused_after then
+    err "overuse accounting: result reports %d overused cells, routes imply %d"
+      result.overused_after (List.length over);
+  List.rev !errors
+
+(* A routing problem on a 6 x 6 x 3 grid, as data: the grid is rebuilt
+   from the obstacle and shared cells for each check. *)
+type route_case = {
+  obstacles : Vec3.t list;
+  shared : Vec3.t list;
+  nets : Pathfinder.net list;
+  result : Pathfinder.result;
+}
+
+let case_box = Box3.make (vec 0 0 0) (vec 5 5 2)
+
+let case_grid c =
+  let g = Grid.create case_box in
+  List.iter (Grid.set_obstacle g) c.obstacles;
+  List.iter (Grid.set_shared g) c.shared;
+  g
+
+(* The cells non-shared in-grid cells listed more than once over all
+   routes: the overuse a truthful result reports. *)
+let implied_overuse ~shared (routes : Pathfinder.routed list) =
+  let cells = List.concat_map (fun (r : Pathfinder.routed) -> r.r_cells) routes in
+  List.sort_uniq Vec3.compare cells
+  |> List.filter (fun c ->
+         Box3.contains case_box c
+         && (not (List.mem c shared))
+         && List.length (List.filter (Vec3.equal c) cells) > 1)
+  |> List.length
+
+(* The cells from [a] to [b] along x, then y, then z, both included. *)
+let l_path (a : Vec3.t) (b : Vec3.t) =
+  let run from upto make =
+    List.init (abs (upto - from) + 1) (fun i ->
+        make (if upto >= from then from + i else from - i))
+  in
+  run a.x b.x (fun x -> vec x a.y a.z)
+  @ List.tl (run a.y b.y (fun y -> vec b.x y a.z))
+  @ List.tl (run a.z b.z (fun z -> vec b.x b.y z))
+
+(* One planted fault; an [int] picks a route, a net or a cell modulo
+   the count. *)
+type fault =
+  | Repeat of int * int  (** a route lists one of its cells again *)
+  | Outside of int * bool  (** a route leaves the grid below z or past x *)
+  | Stray of int * Vec3.t  (** a route gains a cell off its tree *)
+  | Block of int * int  (** an obstacle on a route cell, pin or not *)
+  | Copy of int * int  (** a route takes another route's cell: overuse *)
+  | Drop of int * bool  (** a route is dropped, listed unrouted or not *)
+  | Twice of int * Vec3.t  (** a second, later route for one net *)
+  | Miss of int * Vec3.t  (** a net gains a pin its route may miss *)
+
+let gen_fault =
+  let open QCheck.Gen in
+  let cell = map3 vec (int_range 0 5) (int_range 0 5) (int_range 0 2) in
+  oneof
+    [
+      map2 (fun i k -> Repeat (i, k)) nat nat;
+      map2 (fun i b -> Outside (i, b)) nat bool;
+      map2 (fun i c -> Stray (i, c)) nat cell;
+      map2 (fun i k -> Block (i, k)) nat nat;
+      map2 (fun i k -> Copy (i, k)) nat nat;
+      map2 (fun i b -> Drop (i, b)) nat bool;
+      map2 (fun i c -> Twice (i, c)) nat cell;
+      map2 (fun i c -> Miss (i, c)) nat cell;
+    ]
+
+(* Random nets, each routed as the union of L-paths from its first pin
+   to the others (connected, every pin reached, no cell twice); on most
+   cases the pins are shared cells, as the pipeline marks them, and the
+   last net also lists the first net's first pin.  Then up to three
+   planted faults, and a random [success] and [overused_after] (the
+   implied count or one or two off it). *)
+let gen_route_case =
+  let open QCheck.Gen in
+  let cell = map3 vec (int_range 0 5) (int_range 0 5) (int_range 0 2) in
+  let* pin_sets = list_size (int_range 1 4) (list_size (int_range 1 4) cell) in
+  let* share = bool in
+  let pin_sets =
+    match pin_sets with
+    | (p :: _) :: _ :: _ when share ->
+        let last = List.length pin_sets - 1 in
+        List.mapi (fun i ps -> if i = last then ps @ [ p ] else ps) pin_sets
+    | _ -> pin_sets
+  in
+  let nets = ref (List.mapi (fun i pins -> { Pathfinder.net_id = i; pins }) pin_sets) in
+  let tree = function
+    | [] -> []
+    | p :: rest ->
+        List.fold_left
+          (fun acc c -> if List.mem c acc then acc else acc @ [ c ])
+          [] (p :: List.concat_map (l_path p) rest)
+  in
+  let routes =
+    ref
+      (List.map
+         (fun (n : Pathfinder.net) -> { Pathfinder.r_net = n.net_id; r_cells = tree n.pins })
+         !nets)
+  in
+  let obstacles = ref [] and unrouted = ref [] in
+  let nth l i = List.nth l (i mod List.length l) in
+  let edit i f =
+    match !routes with
+    | [] -> ()
+    | rs ->
+        let i = i mod List.length rs in
+        routes :=
+          List.mapi
+            (fun j (r : Pathfinder.routed) ->
+              if j = i && r.r_cells <> [] then { r with r_cells = f r.r_cells } else r)
+            rs
+  in
+  let plant = function
+    | Repeat (i, k) -> edit i (fun cs -> cs @ [ nth cs k ])
+    | Outside (i, below) ->
+        edit i (fun cs ->
+            let (l : Vec3.t) = List.nth cs (List.length cs - 1) in
+            cs @ [ (if below then vec l.x l.y (-1) else vec 6 l.y l.z) ])
+    | Stray (i, c) -> edit i (fun cs -> cs @ [ c ])
+    | Block (i, k) -> (
+        match !routes with
+        | [] -> ()
+        | rs -> (
+            match (nth rs i).r_cells with
+            | [] -> ()
+            | cs ->
+                let c = nth cs k in
+                if Box3.contains case_box c then obstacles := c :: !obstacles))
+    | Copy (i, k) -> (
+        match !routes with
+        | [] -> ()
+        | rs -> (
+            match (nth rs k).r_cells with
+            | [] -> ()
+            | cs -> edit i (fun own -> own @ [ nth cs i ])))
+    | Drop (i, listed) -> (
+        match !routes with
+        | [] -> ()
+        | rs ->
+            let r = nth rs i in
+            routes := List.filter (fun r' -> r' != r) rs;
+            if listed then unrouted := r.r_net :: !unrouted)
+    | Twice (i, c) -> (
+        match !routes with
+        | [] -> ()
+        | rs -> routes := rs @ [ { (nth rs i) with r_cells = [ c ] } ])
+    | Miss (i, c) ->
+        let i = i mod List.length !nets in
+        nets :=
+          List.mapi
+            (fun j (n : Pathfinder.net) -> if j = i then { n with pins = n.pins @ [ c ] } else n)
+            !nets
+  in
+  let* faults = list_size (int_range 0 3) gen_fault in
+  List.iter plant faults;
+  let shared =
+    if share then List.concat_map (fun (n : Pathfinder.net) -> n.pins) !nets else []
+  in
+  let implied = implied_overuse ~shared !routes in
+  let* success = bool and* off = int_range (-2) 2 in
+  return
+    {
+      obstacles = !obstacles;
+      shared;
+      nets = !nets;
+      result =
+        {
+          Pathfinder.routes = !routes;
+          success;
+          iterations_used = 1;
+          overused_after = (if off < 0 then implied else implied + off);
+          unrouted = !unrouted;
+        };
+    }
+
+let arb_route_case =
+  let print c =
+    let cells cs = String.concat " " (List.map Vec3.to_string cs) in
+    String.concat "\n"
+      ([ "obstacles " ^ cells c.obstacles; "shared " ^ cells c.shared ]
+      @ List.map
+          (fun (n : Pathfinder.net) -> Printf.sprintf "net %d pins %s" n.net_id (cells n.pins))
+          c.nets
+      @ List.map
+          (fun (r : Pathfinder.routed) -> Printf.sprintf "route %d: %s" r.r_net (cells r.r_cells))
+          c.result.routes
+      @ [
+          Printf.sprintf "success=%b overused_after=%d unrouted=%s" c.result.success
+            c.result.overused_after
+            (String.concat "," (List.map string_of_int c.result.unrouted));
+        ])
+  in
+  QCheck.make ~print gen_route_case
+
+let prop_validate_matches_reference =
+  QCheck.Test.make ~name:"Pathfinder.validate matches the table reference"
+    ~count:500 arb_route_case (fun c ->
+      let g = case_grid c in
+      Pathfinder.validate g c.result c.nets = reference_validate g c.result c.nets)
+
+(* The generator reaches every error the validator reports, clean
+   results, and the planted situations that report nothing alone. *)
+let test_route_case_coverage () =
+  let rand = Random.State.make [| 11 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:500 gen_route_case in
+  let reported fragment c =
+    has_error fragment (reference_validate (case_grid c) c.result c.nets)
+  in
+  let overused c = implied_overuse ~shared:c.shared c.result.routes > 0 in
+  List.iter
+    (fun (what, p) ->
+      let n = List.length (List.filter p cases) in
+      check Alcotest.bool (Printf.sprintf "%s: %d cases" what n) true (n >= 25))
+    [
+      ("clean", fun c -> reference_validate (case_grid c) c.result c.nets = []);
+      ("repeated cell", reported "twice");
+      ("cell outside the grid", reported "leaves the routing grid");
+      ("obstacle crossing", reported "passes through obstacle");
+      ("unreached pin", reported "does not reach pin");
+      ("disconnected tree", reported "disconnected");
+      ("missing route", reported "missing from routes");
+      ("overuse with success true", fun c -> overused c && c.result.success);
+      ("overuse with success false", fun c -> overused c && not c.result.success);
+      ("wrong overused_after", reported "overuse accounting");
+      ( "shared pin listed by two routes",
+        fun c ->
+          List.exists
+            (fun (r : Pathfinder.routed) ->
+              List.exists
+                (fun (o : Pathfinder.routed) ->
+                  o.r_net <> r.r_net
+                  && List.exists (fun p -> List.mem p c.shared && List.mem p o.r_cells) r.r_cells)
+                c.result.routes)
+            c.result.routes );
+      ( "obstacle on a pin",
+        fun c ->
+          List.exists
+            (fun (n : Pathfinder.net) -> List.exists (fun p -> List.mem p c.obstacles) n.pins)
+            c.nets );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Parallel router determinism                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1354,6 +1698,8 @@ let suites =
           test_validate_rejects_overcapacity;
         Alcotest.test_case "accounting must match" `Quick
           test_validate_accounting_must_match;
+        Alcotest.test_case "generator coverage" `Quick test_route_case_coverage;
+        qtest prop_validate_matches_reference;
       ] );
     ( "route.parallel-pipeline",
       [

@@ -293,6 +293,230 @@ let test_mutation_geometry_moved_primal () =
   check Alcotest.bool "a moved cell matches no module" true
     (mentions "matches no placed module")
 
+(* ------------------------------------------------------------------ *)
+(* Differential test of the in-place dual-cell comparison              *)
+(* ------------------------------------------------------------------ *)
+
+module Pathfinder = Tqec_route.Pathfinder
+module Geometry = Tqec_geom.Geometry
+module Defect = Tqec_geom.Defect
+module Vec3 = Tqec_util.Vec3
+
+(* The owner-table comparison that [Route_check.dual_cells] replaced,
+   kept as the oracle: same violations, same order. *)
+let reference_dual_cells ~first_dual (routes : Pathfinder.routed list)
+    (geom : Geometry.t) =
+  let vs = ref [] in
+  let add v = vs := v :: !vs in
+  let sorted_cells cells = List.sort_uniq compare cells in
+  let structure_cells strands = sorted_cells (List.concat_map Defect.cells strands) in
+  let n_routes = List.length routes in
+  let dual_structures = Geometry.structures geom Defect.Dual in
+  let dual_by_id = Hashtbl.create 256 in
+  List.iter (fun (sid, strands) -> Hashtbl.replace dual_by_id sid strands) dual_structures;
+  let owner = Hashtbl.create 256 in
+  List.iteri
+    (fun i (routed : Pathfinder.routed) ->
+      let expected =
+        sorted_cells
+          (List.filter
+             (fun c ->
+               match Hashtbl.find_opt owner c with
+               | Some o -> o = routed.r_net
+               | None ->
+                   Hashtbl.replace owner c routed.r_net;
+                   true)
+             routed.r_cells)
+      in
+      let sid = first_dual + i in
+      let actual =
+        match Hashtbl.find_opt dual_by_id sid with
+        | Some strands -> structure_cells strands
+        | None -> []
+      in
+      if expected <> actual then
+        add
+          (V.makef V.Geometry ~code:"dual-cells"
+             "dual structure %d emits %d cell(s) but net %d's route claims \
+              %d: emission and routing disagree"
+             sid (List.length actual) routed.r_net (List.length expected)))
+    routes;
+  if List.length dual_structures > n_routes then
+    add
+      (V.makef V.Geometry ~code:"dual-cells"
+         "%d dual structure(s) emitted for %d route(s)"
+         (List.length dual_structures)
+         n_routes);
+  List.rev !vs
+
+type dual_case = {
+  first_dual : int;
+  routes : Pathfinder.routed list;
+  strands : Defect.t list;
+}
+
+(* The cells route [i] of [routes] owns, first listing first: a cell
+   belongs to the first route listing it, and a later route keeps it
+   only under the same net. *)
+let owned_cells (routes : Pathfinder.routed list) =
+  let owner = Hashtbl.create 16 in
+  List.map
+    (fun (r : Pathfinder.routed) ->
+      List.fold_left
+        (fun acc c ->
+          let keep =
+            match Hashtbl.find_opt owner c with
+            | Some o -> o = r.r_net
+            | None ->
+                Hashtbl.replace owner c r.r_net;
+                true
+          in
+          if keep && not (List.mem c acc) then acc @ [ c ] else acc)
+        [] r.r_cells)
+    routes
+
+let strand ~structure ~dtype path = { Defect.id = 0; structure; dtype; path; closed = false }
+
+(* Random routes in a small box around the origin (negative coordinates,
+   cells listed twice, cells shared by routes of one net and of
+   different nets), a few primal structures, and a faithful emission:
+   each owned cell becomes a vertex of its structure, at any of the
+   eight vertices whose cell it is, one or two to a strand.  Then
+   planted faults: a dropped strand (a missing cell), a strand with a
+   cell the route does not own (an extra cell), a dual structure
+   numbered past the routes (one too many), a dual strand numbered among
+   the primal structures, and a shuffle of the strand order. *)
+let gen_dual_case =
+  let open QCheck.Gen in
+  let cell = map3 Vec3.make (int_range (-2) 2) (int_range (-2) 2) (int_range (-1) 1) in
+  let* first_dual = int_range 0 2 in
+  let* routes =
+    list_size (int_range 0 5)
+      (map2 (fun r_net r_cells -> { Pathfinder.r_net; r_cells }) (int_range 0 3)
+         (list_size (int_range 0 6) cell))
+  in
+  let vertex (c : Vec3.t) =
+    map3
+      (fun ox oy oz -> Vec3.make ((2 * c.x) + ox) ((2 * c.y) + oy) ((2 * c.z) + oz))
+      (int_bound 1) (int_bound 1) (int_bound 1)
+  in
+  let rec emit structure = function
+    | [] -> return []
+    | c :: rest ->
+        let* v = vertex c and* pair = bool in
+        if pair && rest <> [] then
+          let* w = vertex (List.hd rest) in
+          let+ tail = emit structure (List.tl rest) in
+          strand ~structure ~dtype:Defect.Dual [ v; w ] :: tail
+        else
+          let+ tail = emit structure rest in
+          strand ~structure ~dtype:Defect.Dual [ v ] :: tail
+  in
+  let* duals =
+    flatten_l (List.mapi (fun i cells -> emit (first_dual + i) cells) (owned_cells routes))
+  in
+  let* primals =
+    flatten_l
+      (List.init first_dual (fun s ->
+           map (fun c -> strand ~structure:s ~dtype:Defect.Primal [ Vec3.scale 2 c ]) cell))
+  in
+  let strands = primals @ List.concat duals in
+  let n_routes = List.length routes in
+  let* faults = list_size (int_range 0 2) (triple (int_bound 3) nat cell) in
+  let* strands =
+    List.fold_left
+      (fun acc (kind, i, c) ->
+        let* strands = acc in
+        let* v = vertex c in
+        match kind with
+        | 0 -> (
+            match List.filter (fun (d : Defect.t) -> d.dtype = Defect.Dual) strands with
+            | [] -> return strands
+            | ds ->
+                let victim = List.nth ds (i mod List.length ds) in
+                return (List.filter (fun d -> d != victim) strands))
+        | 1 ->
+            let structure = first_dual + (i mod max 1 n_routes) in
+            return (strands @ [ strand ~structure ~dtype:Defect.Dual [ v ] ])
+        | 2 ->
+            return
+              (strands
+              @ [ strand ~structure:(first_dual + n_routes + (i mod 2)) ~dtype:Defect.Dual [ v ] ])
+        | _ -> return (strands @ [ strand ~structure:(i mod (first_dual + 1)) ~dtype:Defect.Dual [ v ] ]))
+      (return strands) faults
+  in
+  let+ strands = shuffle_l strands in
+  { first_dual; routes; strands }
+
+let dual_case_geometry c = Geometry.make ~name:"random" ~defects:c.strands ~boxes:[]
+
+let arb_dual_case =
+  let print c =
+    let cells cs = String.concat " " (List.map Vec3.to_string cs) in
+    String.concat "\n"
+      (Printf.sprintf "first_dual=%d" c.first_dual
+       :: List.map
+            (fun (r : Pathfinder.routed) -> Printf.sprintf "route net %d: %s" r.r_net (cells r.r_cells))
+            c.routes
+      @ List.map
+          (fun (d : Defect.t) ->
+            Printf.sprintf "%s structure %d: %s"
+              (match d.dtype with Defect.Primal -> "primal" | Defect.Dual -> "dual")
+              d.structure (cells d.path))
+          c.strands)
+  in
+  QCheck.make ~print gen_dual_case
+
+let dual_strings f c =
+  List.map V.to_string (f ~first_dual:c.first_dual c.routes (dual_case_geometry c))
+
+let prop_dual_cells_match_reference =
+  QCheck.Test.make ~name:"Route_check.dual_cells matches the table reference"
+    ~count:500 arb_dual_case (fun c ->
+      dual_strings Tqec_verify.Route_check.dual_cells c
+      = dual_strings reference_dual_cells c)
+
+(* The generator reaches both violations, clean cases, and the shared
+   cells the ownership rule is about. *)
+let test_dual_case_coverage () =
+  let rand = Random.State.make [| 13 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:500 gen_dual_case in
+  let reports fragment c =
+    List.exists
+      (fun msg ->
+        let n = String.length msg and m = String.length fragment in
+        let rec scan i = i + m <= n && (String.sub msg i m = fragment || scan (i + 1)) in
+        scan 0)
+      (dual_strings reference_dual_cells c)
+  in
+  let shared same c =
+    List.exists
+      (fun (r : Pathfinder.routed) ->
+        List.exists
+          (fun (o : Pathfinder.routed) ->
+            r != o && (r.r_net = o.r_net) = same
+            && List.exists (fun x -> List.mem x o.r_cells) r.r_cells)
+          c.routes)
+      c.routes
+  in
+  List.iter
+    (fun (what, p) ->
+      let n = List.length (List.filter p cases) in
+      check Alcotest.bool (Printf.sprintf "%s: %d cases" what n) true (n >= 25))
+    [
+      ("clean", fun c -> dual_strings reference_dual_cells c = []);
+      ("structure and route disagree", reports "emission and routing disagree");
+      ("a dual structure too many", reports "emitted for");
+      ("a cell shared under one net", shared true);
+      ("a cell shared by two nets", shared false);
+      ( "a cell listed twice by one route",
+        fun c ->
+          List.exists
+            (fun (r : Pathfinder.routed) ->
+              List.length (List.sort_uniq compare r.r_cells) < List.length r.r_cells)
+            c.routes );
+    ]
+
 let suites =
   [
     ( "verify.clean",
@@ -329,5 +553,10 @@ let suites =
           test_mutation_geometry_dropped_strand;
         Alcotest.test_case "geometry moved primal strand" `Quick
           test_mutation_geometry_moved_primal;
+      ] );
+    ( "verify.dual-cells",
+      [
+        Alcotest.test_case "generator coverage" `Quick test_dual_case_coverage;
+        QCheck_alcotest.to_alcotest prop_dual_cells_match_reference;
       ] );
   ]
