@@ -169,13 +169,16 @@ let timings_arg =
     "Print per-stage wall times, the placer's work (nodes, annealing \
      moves attempted and accepted, accept ratio, moves that ran the full \
      B*-tree repack), the router's counters and a memory line (the \
-     routing grid's allocated and total tiles and its heap words, and \
-     the process's peak resident set size after the compile and again \
-     after its check, n/a where /proc is missing)."
+     routing grid's allocated and total tiles, the tiles holding a \
+     usage and a history array, and its heap words; and the process's \
+     peak resident set size after placement, after routing, after the \
+     compile and after its check, n/a where /proc is missing)."
   in
   Arg.(value & flag & info [ "timings" ] ~doc)
 
-let print_timings ~compile_rss (r : Pipeline.t) =
+(* [peaks] are the peak resident set sizes the memory line names, in
+   order. *)
+let print_timings ~peaks (r : Pipeline.t) =
   Format.printf "stage timings:@.";
   List.iter
     (fun (name, dt) -> Format.printf "  %-10s %8.3fs@." name dt)
@@ -204,10 +207,11 @@ let print_timings ~compile_rss (r : Pipeline.t) =
     rc.Tqec_route.Counters.astar_pushes;
   let gm = r.Pipeline.grid_mem in
   let kb = function Some kb -> Printf.sprintf "%dkB" kb | None -> "n/a" in
-  Format.printf "memory: grid tiles=%d/%d words=%d peak-rss compile=%s check=%s@."
+  Format.printf "memory: grid tiles=%d/%d costs=%d/%d words=%d peak-rss %s@."
     gm.Tqec_route.Grid.mem_tiles gm.Tqec_route.Grid.mem_tiles_total
-    gm.Tqec_route.Grid.mem_words (kb compile_rss)
-    (kb (Tqec_util.Stats.peak_rss_kb ()))
+    gm.Tqec_route.Grid.mem_usage_tiles gm.Tqec_route.Grid.mem_history_tiles
+    gm.Tqec_route.Grid.mem_words
+    (String.concat " " (List.map (fun (name, rss) -> name ^ "=" ^ kb rss) peaks))
 
 let porcelain_arg =
   let doc =
@@ -229,8 +233,14 @@ let compress_cmd =
       end
       else c
     in
+    (* the peak after each stage, for the memory line *)
+    let stage_rss = ref [] in
+    let on_stage stage _ =
+      stage_rss := (stage, Tqec_util.Stats.peak_rss_kb ()) :: !stage_rss
+    in
     let r =
-      match Pipeline.run ~config c with
+      let on_stage = if timings then Some on_stage else None in
+      match Pipeline.run ~config ?on_stage c with
       | r -> r
       | exception Pipeline.Stage_failure { stage; message } ->
           die "%s stage failed: %s" stage message
@@ -253,7 +263,17 @@ let compress_cmd =
         r.Pipeline.routing.Tqec_route.Pathfinder.success r.Pipeline.elapsed
     end;
     let issues = Tqec_verify.Violation.to_strings (Pipeline.verify r) in
-    if timings then print_timings ~compile_rss r;
+    if timings then begin
+      let after stage = Option.join (List.assoc_opt stage !stage_rss) in
+      print_timings r
+        ~peaks:
+          [
+            ("placement", after "placement");
+            ("routing", after "routing");
+            ("compile", compile_rss);
+            ("check", Tqec_util.Stats.peak_rss_kb ());
+          ]
+    end;
     match issues with
     | [] -> ()
     | issues ->

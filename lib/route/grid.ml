@@ -18,15 +18,26 @@ let tile_mask = tile_edge - 1
 
 let tile_cells = tile_edge * tile_edge * tile_edge
 
-(* [t_usage] and [t_hist] stay [[||]] (every cell 0) until the first
+(* One flag byte per cell: bit 0 obstacle, bit 1 shared. *)
+let obstacle_bit = 1
+
+let shared_bit = 2
+
+(* Usage and history are 16-bit little-endian cells.  Usage counts the
+   routes through a cell and history grows by a few units per
+   negotiation iteration, so both stay far below the ceiling;
+   [add_usage] and [add_history] refuse a write above it rather than
+   wrap. *)
+let max_cost = 0xFFFF
+
+(* [t_usage] and [t_hist] stay empty (every cell 0) until the first
    write of a usage or a history: tiles that only hold obstacles and
    pins — module cores, and every tile of a grid rebuilt for checking —
-   keep just their two byte masks. *)
+   keep just their flag bytes. *)
 type tile = {
-  mutable t_usage : int array;
-  mutable t_hist : int array;
-  t_obst : Bytes.t;
-  t_shared : Bytes.t;
+  mutable t_usage : Bytes.t;
+  mutable t_hist : Bytes.t;
+  t_flags : Bytes.t;
   (* Incrementally maintained tile summaries, the capacity signal the
      coarse corridor search reads: total usage + history over the tile,
      and the count of obstacle cells (a fully-obstacled tile is
@@ -127,20 +138,28 @@ let guard g p name =
 
 let fresh_tile () =
   {
-    t_usage = [||];
-    t_hist = [||];
-    t_obst = Bytes.make tile_cells '\000';
-    t_shared = Bytes.make tile_cells '\000';
+    t_usage = Bytes.empty;
+    t_hist = Bytes.empty;
+    t_flags = Bytes.make tile_cells '\000';
     t_sum_usage = 0;
     t_sum_hist = 0;
     t_n_obst = 0;
   }
 
-(* Cell [ci] of a lazily allocated cost array: 0 before its first write. *)
-let cell_of costs ci = if Array.length costs = 0 then 0 else costs.(ci)
+let has_flag t bit ci = Bytes.get_uint8 t.t_flags ci land bit <> 0
 
-(* [costs] ready for a write: allocated on the first. *)
-let writable costs = if Array.length costs = 0 then Array.make tile_cells 0 else costs
+(* Cell [ci] of a lazily allocated cost array: 0 before its first write. *)
+let cell_of costs ci =
+  if Bytes.length costs = 0 then 0 else Bytes.get_uint16_le costs (2 * ci)
+
+(* Writes [v] to cell [ci] of [costs], allocating the array on the
+   first write; returns the array the tile keeps. *)
+let write costs ci v =
+  let costs =
+    if Bytes.length costs = 0 then Bytes.make (2 * tile_cells) '\000' else costs
+  in
+  Bytes.set_uint16_le costs (2 * ci) v;
+  costs
 
 let ensure_tile g ti =
   match g.tiles.(ti) with
@@ -154,8 +173,9 @@ let set_obstacle g p =
   guard g p "set_obstacle";
   let ti, ci = tile_cell g p in
   let t = ensure_tile g ti in
-  if Bytes.get t.t_obst ci <> '\001' then begin
-    Bytes.set t.t_obst ci '\001';
+  let f = Bytes.get_uint8 t.t_flags ci in
+  if f land obstacle_bit = 0 then begin
+    Bytes.set_uint8 t.t_flags ci (f lor obstacle_bit);
     t.t_n_obst <- t.t_n_obst + 1;
     bump_gen g ti
   end
@@ -171,13 +191,13 @@ let is_obstacle g p =
   let ti, ci = tile_cell g p in
   match g.tiles.(ti) with
   | None -> false
-  | Some t -> Bytes.get t.t_obst ci = '\001'
+  | Some t -> has_flag t obstacle_bit ci
 
 let set_shared g p =
   guard g p "set_shared";
   let ti, ci = tile_cell g p in
   let t = ensure_tile g ti in
-  Bytes.set t.t_shared ci '\001';
+  Bytes.set_uint8 t.t_flags ci (Bytes.get_uint8 t.t_flags ci lor shared_bit);
   bump_gen g ti;
   (* shared cells have unlimited capacity: whatever their usage, they can
      no longer be overused *)
@@ -189,7 +209,7 @@ let is_shared g p =
   let ti, ci = tile_cell g p in
   match g.tiles.(ti) with
   | None -> false
-  | Some t -> Bytes.get t.t_shared ci = '\001'
+  | Some t -> has_flag t shared_bit ci
 
 let usage g p =
   guard g p "usage";
@@ -203,12 +223,12 @@ let add_usage g p delta =
      summary and the generation timeline exactly as they were *)
   let u = delta + match g.tiles.(ti) with None -> 0 | Some t -> cell_of t.t_usage ci in
   if u < 0 then invalid_arg "Grid.add_usage: negative usage";
+  if u > max_cost then invalid_arg "Grid.add_usage: usage above 65535";
   let t = ensure_tile g ti in
-  t.t_usage <- writable t.t_usage;
-  t.t_usage.(ci) <- u;
+  t.t_usage <- write t.t_usage ci u;
   t.t_sum_usage <- t.t_sum_usage + delta;
   if delta <> 0 then bump_gen g ti;
-  if Bytes.get t.t_shared ci <> '\001' then
+  if not (has_flag t shared_bit ci) then
     if u > capacity then Hashtbl.replace g.over (index g p) ()
     else Hashtbl.remove g.over (index g p)
 
@@ -224,9 +244,9 @@ let add_history g p delta =
      would price a cell below the floor of 1 the A* kernels rely on *)
   let h = delta + match g.tiles.(ti) with None -> 0 | Some t -> cell_of t.t_hist ci in
   if h < 0 then invalid_arg "Grid.add_history: negative history";
+  if h > max_cost then invalid_arg "Grid.add_history: history above 65535";
   let t = ensure_tile g ti in
-  t.t_hist <- writable t.t_hist;
-  t.t_hist.(ci) <- h;
+  t.t_hist <- write t.t_hist ci h;
   t.t_sum_hist <- t.t_sum_hist + delta;
   if delta <> 0 then bump_gen g ti
 
@@ -262,11 +282,12 @@ let probe g ~penalty ~dusage ~avoid_used ~exempt x y z =
         (((ox land tile_mask) lsl tile_bits) lor (oy land tile_mask)) lsl tile_bits
         lor (oz land tile_mask)
       in
-      let shared = Bytes.get t.t_shared ci = '\001' in
+      let f = Bytes.get_uint8 t.t_flags ci in
+      let shared = f land shared_bit <> 0 in
       let usage = cell_of t.t_usage ci in
       if
         (not exempt)
-        && (Bytes.get t.t_obst ci = '\001'
+        && (f land obstacle_bit <> 0
            || (avoid_used && (not shared) && usage >= capacity))
       then -1
       else if shared then base + cell_of t.t_hist ci
@@ -374,16 +395,26 @@ let region_unchanged_since g ~since region =
 type mem = {
   mem_tiles : int;
   mem_tiles_total : int;
+  mem_usage_tiles : int;
+  mem_history_tiles : int;
   mem_cells : int;
   mem_touched_cells : int;
   mem_words : int;
 }
 
 let mem g =
-  let tiles = Array.fold_left (fun a t -> if t = None then a else a + 1) 0 g.tiles in
+  let count f =
+    Array.fold_left
+      (fun a t -> match t with Some t when f t -> a + 1 | _ -> a)
+      0 g.tiles
+  in
+  let written costs = Bytes.length costs > 0 in
+  let tiles = count (fun _ -> true) in
   {
     mem_tiles = tiles;
     mem_tiles_total = Array.length g.tiles;
+    mem_usage_tiles = count (fun t -> written t.t_usage);
+    mem_history_tiles = count (fun t -> written t.t_hist);
     mem_cells = g.nx * g.ny * g.nz;
     mem_touched_cells = tiles * tile_cells;
     mem_words = Obj.reachable_words (Obj.repr g);

@@ -14,13 +14,16 @@
     chunks allocated on first touch through a flat tile directory, so
     memory scales with the touched (routed/obstacled) volume instead of
     the substrate volume.  Untouched cells read as usage 0, history 0, no
-    obstacle, not shared.  A tile starts with its obstacle and shared
-    byte masks only, and allocates its usage array on its first
-    {!add_usage} and its history array on its first {!add_history}: the
-    tiles of module cores and pins, and every tile of a grid rebuilt for
-    checking, never hold either.  Each tile also carries incrementally
-    maintained summaries (total usage + history, obstacle count) that the
-    hierarchical corridor search reads as tile-level capacity signals. *)
+    obstacle, not shared.  A tile starts with one flag byte per cell
+    (bit 0 obstacle, bit 1 shared) and nothing else.  Usage and history
+    are 16-bit cells, so each is at most 65,535: a tile allocates its
+    usage array (2 bytes per cell) on its first {!add_usage} and its
+    history array on its first {!add_history}, and both refuse a value
+    above the ceiling.  The tiles of module cores and pins, and every
+    tile of a grid rebuilt for checking, never hold either array.  Each
+    tile also carries incrementally maintained summaries (total usage +
+    history, obstacle count) that the hierarchical corridor search reads
+    as tile-level capacity signals. *)
 
 type t
 
@@ -53,15 +56,17 @@ val is_shared : t -> Tqec_util.Vec3.t -> bool
 val usage : t -> Tqec_util.Vec3.t -> int
 
 (** [add_usage g p delta] adds [delta] to [p]'s usage.
-    @raise Invalid_argument when the usage would turn negative; the
-    grid — cell, tile summary and generations — is then unchanged. *)
+    @raise Invalid_argument when the usage would turn negative or pass
+    65,535; the grid — cell, tile summary, generations and overused
+    set — is then unchanged. *)
 val add_usage : t -> Tqec_util.Vec3.t -> int -> unit
 
 val history : t -> Tqec_util.Vec3.t -> int
 
 (** [add_history g p delta] adds [delta] to [p]'s history cost.
-    @raise Invalid_argument when the history would turn negative; the
-    grid — cell, tile summary and generations — is then unchanged. *)
+    @raise Invalid_argument when the history would turn negative or
+    pass 65,535; the grid — cell, tile summary and generations — is
+    then unchanged. *)
 val add_history : t -> Tqec_util.Vec3.t -> int -> unit
 
 (** [enter_cost g ~penalty p] is the congestion cost of entering [p]
@@ -188,11 +193,13 @@ val region_unchanged_since : t -> since:int -> Tqec_util.Box3.t -> bool
 type mem = {
   mem_tiles : int;  (** allocated (touched) tiles *)
   mem_tiles_total : int;  (** tile directory capacity *)
+  mem_usage_tiles : int;  (** tiles holding a usage array *)
+  mem_history_tiles : int;  (** tiles holding a history array *)
   mem_cells : int;  (** bounding-box volume in cells *)
   mem_touched_cells : int;  (** [mem_tiles * tile_cells] *)
   mem_words : int;
       (** heap words reachable from the grid, headers included
-          ([Obj.reachable_words]): each tile counts its two byte masks
+          ([Obj.reachable_words]): each tile counts its flag bytes
           and only the usage and history arrays a write allocated *)
 }
 

@@ -80,7 +80,10 @@ type result = {
     trivially to their pin set.
     @raise Invalid_argument when [initial_penalty], [penalty_growth] or
     [history_increment] is negative: each would let an entry cost fall
-    below the floor of 1 that {!Astar} relies on. *)
+    below the floor of 1 that {!Astar} relies on.  Also when a cell's
+    usage or history would pass the grid's 65,535 ceiling
+    ({!Grid.add_history}); history grows by at most
+    [history_increment] per iteration, to 80 under {!default_config}. *)
 val route_all : Grid.t -> config -> net list -> result
 
 (** [release_scratch ()] drops the calling domain's search workspace:

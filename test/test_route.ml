@@ -48,7 +48,16 @@ let test_grid_negative_usage_rejected () =
       Grid.add_usage g p (-2));
   check Alcotest.int "usage kept" 1 (Grid.usage g p);
   check Alcotest.int "tile congestion kept" 1 (Grid.tile_congestion g ti);
-  check Alcotest.int "generation kept" gen (Grid.generation g)
+  check Alcotest.int "generation kept" gen (Grid.generation g);
+  (* the 16-bit ceiling: 65,535 is stored, one more is refused *)
+  Grid.add_usage g p 65_534;
+  let gen = Grid.generation g in
+  Alcotest.check_raises "usage above the ceiling"
+    (Invalid_argument "Grid.add_usage: usage above 65535") (fun () ->
+      Grid.add_usage g p 1);
+  check Alcotest.int "usage at the ceiling" 65_535 (Grid.usage g p);
+  check Alcotest.int "tile congestion at the ceiling" 65_535 (Grid.tile_congestion g ti);
+  check Alcotest.int "generation kept at the ceiling" gen (Grid.generation g)
 
 (* The same discipline for history: a negative history would price a
    cell below 1 (a delta of -5 on a fresh cell reads as the probe's
@@ -80,7 +89,12 @@ let test_grid_negative_history_rejected () =
   check Alcotest.int "tile congestion kept" 2 (Grid.tile_congestion g ti);
   check Alcotest.int "generation kept" gen (Grid.generation g);
   Grid.add_history g p (-2);
-  check Alcotest.int "a delta down to 0 is accepted" 0 (Grid.history g p)
+  check Alcotest.int "a delta down to 0 is accepted" 0 (Grid.history g p);
+  Grid.add_history g p 65_535;
+  Alcotest.check_raises "history above the ceiling"
+    (Invalid_argument "Grid.add_history: history above 65535") (fun () ->
+      Grid.add_history g p 1);
+  check Alcotest.int "history at the ceiling" 65_535 (Grid.history g p)
 
 let test_grid_obstacles () =
   let g = grid10 () in
@@ -285,6 +299,332 @@ let prop_grid_generation_tracking =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Packed cell state against a table model                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A cost delta, resolved against the cell's current value [v] when the
+   operation runs, so a sequence lands on both ends of the 16-bit range
+   and tries to pass them. *)
+type delta =
+  | By of int
+  | To_max of int  (** [0xFFFF - v + k]: the ceiling at [k = 0] *)
+  | To_zero of int  (** [k - v]: zero at [k = 0] *)
+
+type grid_op =
+  | Obstacle of Vec3.t
+  | Obstacle_box of Box3.t
+  | Shared of Vec3.t
+  | Usage of Vec3.t * delta
+  | History of Vec3.t * delta
+
+type grid_case = { gc_box : Box3.t; gc_die : Box3.t; gc_ops : grid_op list }
+
+let max_cost = 0xFFFF
+
+(* Boxes up to 19 cells a side, none a multiple of 8, so the last tile
+   on every axis is clipped; origins from -20 to 4.  A few hot cells
+   take most operations, so costs pile up to both bounds.  Obstacle
+   boxes fall in the corner tile, the one clipped on every axis, and
+   sometimes fill it. *)
+let gen_grid_case =
+  let open QCheck.Gen in
+  let side =
+    map
+      (fun n -> if n mod Grid.tile_edge = 0 then n + 1 else n)
+      (frequency [ (1, int_range 1 2); (3, int_range 1 19) ])
+  in
+  let* lo = map3 vec (int_range (-20) 4) (int_range (-20) 4) (int_range (-20) 4) in
+  let* nx = side in
+  let* ny = side in
+  let* nz = side in
+  let hi = vec (lo.x + nx - 1) (lo.y + ny - 1) (lo.z + nz - 1) in
+  let cell = map3 vec (int_range lo.x hi.x) (int_range lo.y hi.y) (int_range lo.z hi.z) in
+  let* die = map2 Box3.make cell cell in
+  let corner_lo =
+    let last n hi = hi - ((n - 1) mod Grid.tile_edge) in
+    vec (last nx hi.x) (last ny hi.y) (last nz hi.z)
+  in
+  let corner_cell =
+    map3 vec (int_range corner_lo.x hi.x) (int_range corner_lo.y hi.y)
+      (int_range corner_lo.z hi.z)
+  in
+  let* hot = list_size (int_range 1 4) cell in
+  let target = frequency [ (3, oneofl hot); (1, cell) ] in
+  let delta =
+    frequency
+      [
+        (4, map (fun d -> By d) (int_range (-3) 3));
+        (2, map (fun k -> To_max k) (int_range (-1) 2));
+        (2, map (fun k -> To_zero k) (int_range (-2) 1));
+        (1, map (fun d -> By d) (int_range (-70_000) 70_000));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (1, map (fun c -> Obstacle c) target);
+        ( 1,
+          map
+            (fun b -> Obstacle_box b)
+            (frequency
+               [
+                 (1, return (Box3.make corner_lo hi));
+                 (2, map2 Box3.make corner_cell corner_cell);
+               ]) );
+        (1, map (fun c -> Shared c) target);
+        (3, map2 (fun c d -> Usage (c, d)) target delta);
+        (3, map2 (fun c d -> History (c, d)) target delta);
+      ]
+  in
+  let* ops = list_size (int_range 1 40) op in
+  return { gc_box = Box3.make lo hi; gc_die = die; gc_ops = ops }
+
+let arb_grid_case =
+  let delta = function
+    | By d -> Printf.sprintf "%+d" d
+    | To_max k -> Printf.sprintf "max%+d" k
+    | To_zero k -> Printf.sprintf "zero%+d" k
+  in
+  let op = function
+    | Obstacle c -> "obstacle " ^ Vec3.to_string c
+    | Obstacle_box b -> Format.asprintf "obstacle box %a" Box3.pp b
+    | Shared c -> "shared " ^ Vec3.to_string c
+    | Usage (c, d) -> Printf.sprintf "usage %s %s" (Vec3.to_string c) (delta d)
+    | History (c, d) -> Printf.sprintf "history %s %s" (Vec3.to_string c) (delta d)
+  in
+  let print c =
+    String.concat "\n"
+      (Format.asprintf "box %a die %a" Box3.pp c.gc_box Box3.pp c.gc_die
+      :: List.map op c.gc_ops)
+  in
+  QCheck.make ~print gen_grid_case
+
+type model_cell = {
+  mutable m_obst : bool;
+  mutable m_shared : bool;
+  mutable m_usage : int;
+  mutable m_hist : int;
+}
+
+(* Every cell an operation named, the mutation counter, each tile's
+   last stamp, and what the cost writes met: "ceiling" (a value landed
+   on 0xFFFF), "drained" (a positive value landed on 0), "above" and
+   "below" (a write refused past either bound). *)
+type model = {
+  m_box : Box3.t;
+  m_cells : (Vec3.t, model_cell) Hashtbl.t;
+  m_stamps : (int, int) Hashtbl.t;
+  mutable m_gen : int;
+  mutable m_events : string list;
+}
+
+let model_create box =
+  {
+    m_box = box;
+    m_cells = Hashtbl.create 16;
+    m_stamps = Hashtbl.create 16;
+    m_gen = 0;
+    m_events = [];
+  }
+
+let model_cell m c =
+  match Hashtbl.find_opt m.m_cells c with
+  | Some mc -> mc
+  | None ->
+      let mc = { m_obst = false; m_shared = false; m_usage = 0; m_hist = 0 } in
+      Hashtbl.replace m.m_cells c mc;
+      mc
+
+(* Tile directory dimensions and the x-major tile index of a cell. *)
+let model_dims m =
+  let n d = (d + Grid.tile_edge - 1) / Grid.tile_edge in
+  (n (Box3.dx m.m_box), n (Box3.dy m.m_box), n (Box3.dz m.m_box))
+
+let model_tile m (c : Vec3.t) =
+  let _, ty, tz = model_dims m and lo = m.m_box.Box3.lo in
+  let t d = d / Grid.tile_edge in
+  (((t (c.x - lo.x) * ty) + t (c.y - lo.y)) * tz) + t (c.z - lo.z)
+
+(* The cells [op] names. *)
+let op_cells = function
+  | Obstacle c | Shared c | Usage (c, _) | History (c, _) -> [ c ]
+  | Obstacle_box b -> Box3.cells b
+
+(* Applies [op] to the grid and the model; false when the grid refused
+   a write the model accepts, or the reverse. *)
+let model_step g m op =
+  let bump c =
+    m.m_gen <- m.m_gen + 1;
+    Hashtbl.replace m.m_stamps (model_tile m c) m.m_gen
+  in
+  let obstacle c =
+    let mc = model_cell m c in
+    if not mc.m_obst then begin
+      mc.m_obst <- true;
+      bump c
+    end
+  in
+  let cost c delta get set write =
+    let mc = model_cell m c in
+    let v = get mc in
+    let d =
+      match delta with By d -> d | To_max k -> max_cost - v + k | To_zero k -> k - v
+    in
+    let v' = v + d in
+    let refused = v' < 0 || v' > max_cost in
+    let event =
+      if v' > max_cost then Some "above"
+      else if v' < 0 then Some "below"
+      else if v' = max_cost then Some "ceiling"
+      else if v' = 0 && v > 0 then Some "drained"
+      else None
+    in
+    Option.iter (fun e -> m.m_events <- e :: m.m_events) event;
+    if not refused then begin
+      set mc v';
+      if d <> 0 then bump c
+    end;
+    match write g c d with () -> not refused | exception Invalid_argument _ -> refused
+  in
+  match op with
+  | Obstacle c ->
+      obstacle c;
+      Grid.set_obstacle g c;
+      true
+  | Obstacle_box b ->
+      List.iter obstacle (Box3.cells b);
+      Grid.set_obstacle_box g b;
+      true
+  | Shared c ->
+      (model_cell m c).m_shared <- true;
+      bump c;
+      Grid.set_shared g c;
+      true
+  | Usage (c, d) ->
+      cost c d (fun mc -> mc.m_usage) (fun mc v -> mc.m_usage <- v) Grid.add_usage
+  | History (c, d) ->
+      cost c d (fun mc -> mc.m_hist) (fun mc v -> mc.m_hist <- v) Grid.add_history
+
+(* One cell's reads, and its probe under every [dusage]/[avoid_used]/
+   [exempt] combination, against the model. *)
+let cell_agrees g ~die (c : Vec3.t) mc =
+  let penalty = 3 in
+  let model_probe ~dusage ~avoid_used ~exempt =
+    let base = if Box3.contains die c then 1 else 1 + Grid.outside_die_cost in
+    if
+      (not exempt)
+      && (mc.m_obst || (avoid_used && (not mc.m_shared) && mc.m_usage >= Grid.capacity))
+    then -1
+    else if mc.m_shared then base + mc.m_hist
+    else base + mc.m_hist + (penalty * max 0 (mc.m_usage + dusage + 1 - Grid.capacity))
+  in
+  Grid.usage g c = mc.m_usage
+  && Grid.history g c = mc.m_hist
+  && Grid.is_obstacle g c = mc.m_obst
+  && Grid.is_shared g c = mc.m_shared
+  && List.for_all
+       (fun (dusage, avoid_used, exempt) ->
+         Grid.probe g ~penalty ~dusage ~avoid_used ~exempt c.x c.y c.z
+         = model_probe ~dusage ~avoid_used ~exempt)
+       (List.concat_map
+          (fun dusage ->
+            List.concat_map
+              (fun a -> [ (dusage, a, false); (dusage, a, true) ])
+              [ false; true ])
+          [ -1; 0; 1 ])
+
+(* [cells], the overused set, every tile's summaries and stamp, and the
+   mutation counter. *)
+let grid_agrees g ~die m cells =
+  let tx, ty, tz = model_dims m in
+  let n_tiles = tx * ty * tz in
+  let usage = Array.make n_tiles 0 and hist = Array.make n_tiles 0 in
+  let obst = Array.make n_tiles 0 in
+  (* hash-order: the per-tile sums commute *)
+  Hashtbl.iter
+    (fun c mc ->
+      let ti = model_tile m c in
+      usage.(ti) <- usage.(ti) + mc.m_usage;
+      hist.(ti) <- hist.(ti) + mc.m_hist;
+      if mc.m_obst then obst.(ti) <- obst.(ti) + 1)
+    m.m_cells;
+  let over =
+    (* hash-order: sorted below *)
+    Hashtbl.fold
+      (fun c mc acc ->
+        if mc.m_usage > Grid.capacity && not mc.m_shared then c :: acc else acc)
+      m.m_cells []
+    |> List.sort Vec3.compare
+  in
+  let tile_agrees ti =
+    let x = ti / (ty * tz) and y = ti / tz mod ty and z = ti mod tz in
+    let span t d = min Grid.tile_edge (d - (t * Grid.tile_edge)) in
+    let vol =
+      span x (Box3.dx m.m_box) * span y (Box3.dy m.m_box) * span z (Box3.dz m.m_box)
+    in
+    Grid.tile_congestion g ti = usage.(ti) + hist.(ti)
+    && Grid.tile_free g ti = max 0 (vol - obst.(ti) - usage.(ti))
+    && Grid.tile_blocked g ti = (obst.(ti) >= vol)
+    && Grid.tile_generation g ti
+       = Option.value ~default:0 (Hashtbl.find_opt m.m_stamps ti)
+  in
+  List.for_all (fun c -> cell_agrees g ~die c (model_cell m c)) cells
+  && Grid.overused g = over
+  && Grid.overused_count g = List.length over
+  && Grid.n_tiles g = n_tiles
+  && List.for_all tile_agrees (List.init n_tiles Fun.id)
+  && Grid.generation g = m.m_gen
+
+(* Runs a case; false at the first step where the grid and the model
+   part.  Each step compares the cells it names and every grid-wide
+   read, so a refused write must raise [Invalid_argument] and leave all
+   of them as they were; the last step compares every cell. *)
+let run_grid_case case =
+  let die = case.gc_die in
+  let g = Grid.create ~die case.gc_box and m = model_create case.gc_box in
+  let ok =
+    List.for_all
+      (fun op -> model_step g m op && grid_agrees g ~die m (op_cells op))
+      case.gc_ops
+    && grid_agrees g ~die m (Box3.cells case.gc_box)
+  in
+  (ok, g, m)
+
+let prop_grid_packed_vs_model =
+  QCheck.Test.make ~name:"packed cell state matches a table model" ~count:500
+    arb_grid_case (fun case ->
+      let ok, _, _ = run_grid_case case in
+      ok)
+
+(* The generator lands costs on 0xFFFF and back on 0, tries to pass
+   both bounds, and reaches blocked tiles and overused cells. *)
+let test_grid_case_coverage () =
+  let rand = Random.State.make [| 29 |] in
+  let runs =
+    List.map
+      (fun c ->
+        let _, g, m = run_grid_case c in
+        (c, g, m))
+      (QCheck.Gen.generate ~rand ~n:500 gen_grid_case)
+  in
+  let met e (_, _, m) = List.mem e m.m_events in
+  List.iter
+    (fun (what, p) ->
+      let n = List.length (List.filter p runs) in
+      check Alcotest.bool (Printf.sprintf "%s: %d cases" what n) true (n >= 25))
+    [
+      ("a cost lands on 0xFFFF", met "ceiling");
+      ("a write past 0xFFFF", met "above");
+      ("a cost drained to 0", met "drained");
+      ("a write below 0", met "below");
+      ("an overused cell", fun (_, g, _) -> Grid.overused_count g > 0);
+      ( "a blocked tile",
+        fun (_, g, _) ->
+          List.exists (Grid.tile_blocked g) (List.init (Grid.n_tiles g) Fun.id) );
+      ("a negative origin", fun (c, _, _) -> c.gc_box.Box3.lo.Vec3.x < 0);
+    ]
+
 let test_grid_mem_tracks_touched_tiles () =
   let g = Grid.create (Box3.make (vec 0 0 0) (vec 63 63 63)) in
   let m0 = Grid.mem g in
@@ -298,12 +638,30 @@ let test_grid_mem_tracks_touched_tiles () =
   check Alcotest.bool "touched volume stays far below capacity" true
     (m.Grid.mem_touched_cells * 100 < m.Grid.mem_cells);
   check Alcotest.bool "directory covers the box" true
-    (m.Grid.mem_tiles_total * Grid.tile_cells >= m.Grid.mem_cells)
+    (m.Grid.mem_tiles_total * Grid.tile_cells >= m.Grid.mem_cells);
+  check Alcotest.int "two usage arrays" 2 m.Grid.mem_usage_tiles;
+  check Alcotest.int "no history array" 0 m.Grid.mem_history_tiles;
+  (* an obstacle and a refused write allocate no cost array *)
+  let p = vec 30 30 30 in
+  Grid.set_obstacle g p;
+  Alcotest.check_raises "refused usage"
+    (Invalid_argument "Grid.add_usage: usage above 65535") (fun () ->
+      Grid.add_usage g p 0x10000);
+  Alcotest.check_raises "refused history"
+    (Invalid_argument "Grid.add_history: negative history") (fun () ->
+      Grid.add_history g p (-1));
+  Grid.add_history g (vec 61 60 60) 2;
+  let m = Grid.mem g in
+  check Alcotest.int "three touched tiles" 3 m.Grid.mem_tiles;
+  check Alcotest.int "still two usage arrays" 2 m.Grid.mem_usage_tiles;
+  check Alcotest.int "one history array" 1 m.Grid.mem_history_tiles
 
-(* A tile allocates its usage and history arrays on first write, so
-   tiles that hold only obstacles and pins take fewer [Grid.mem] words
-   than one cost array each.  The baseline grid holds one obstacle tile,
-   so both sides of a difference reach the empty array that unwritten
+(* A tile holds one flag byte per cell and allocates its 16-bit usage
+   and history arrays on first write, so a tile that holds only
+   obstacles and pins takes about [tile_cells / 8] words, and a usage
+   and a history write add [tile_cells / 4] words each, plus a header
+   and a padding word.  The baseline grid holds one obstacle tile, so
+   both sides of a difference reach the empty array that unwritten
    tiles share. *)
 let test_grid_costs_allocated_on_write () =
   let box = Box3.make (vec 0 0 0) (vec 63 63 7) in
@@ -320,16 +678,18 @@ let test_grid_costs_allocated_on_write () =
   check Alcotest.int "15 more tiles than the baseline" 15 tiles;
   let words = grown () in
   check Alcotest.bool
-    (Printf.sprintf "%d words for %d tiles: no cost arrays" words tiles)
+    (Printf.sprintf "%d words for %d tiles: flag bytes only" words tiles)
     true
-    (words < tiles * Grid.tile_cells);
-  (* a usage write allocates that tile's usage array, a history write
-     its history array, an overused cell one table entry *)
-  Grid.add_usage g (vec 20 20 5) 2;
-  Grid.add_history g (vec 21 20 5) 1;
-  let words' = grown () in
-  check Alcotest.bool "two cost arrays and one new tile" true
-    (words' - words > 2 * Grid.tile_cells && words' - words < 3 * Grid.tile_cells)
+    (words <= tiles * ((Grid.tile_cells / 8) + 24));
+  (* a usage and a history write on a tile that holds obstacles, with
+     no cell overused: the tile's two cost arrays and nothing else *)
+  Grid.add_usage g (vec 20 1 1) 1;
+  Grid.add_history g (vec 21 1 1) 1;
+  let added = grown () - words in
+  check Alcotest.bool
+    (Printf.sprintf "%d words for a usage and a history array" added)
+    true
+    (added <= (Grid.tile_cells / 2) + 4)
 
 (* The fused per-neighbour read of the A* kernels: -1 for a blocked
    cell, else the entry cost at usage + dusage. *)
@@ -1631,6 +1991,9 @@ let suites =
         qtest prop_grid_overused_incremental;
         qtest prop_grid_sparse_vs_dense_oracle;
         qtest prop_grid_generation_tracking;
+        qtest prop_grid_packed_vs_model;
+        Alcotest.test_case "packed-state generator coverage" `Quick
+          test_grid_case_coverage;
       ] );
     ( "route.astar",
       [
